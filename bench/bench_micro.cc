@@ -29,8 +29,8 @@ StatePtr Extend(StateDag* dag, const StatePtr& parent,
   KeySet ws;
   for (auto& k : writes) ws.Add(k);
   std::lock_guard<std::mutex> guard(dag->Lock());
-  return dag->CreateStateLocked({parent}, dag->NextLocalGuid(), KeySet(),
-                                std::move(ws), false);
+  return dag->CreateStateLocked({parent}, dag->NextLocalGuid(), std::move(ws),
+                                false);
 }
 
 /// Builds a DAG with `chain` states per branch and `branches` branches

@@ -65,6 +65,7 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -73,6 +74,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,18 +102,25 @@ std::vector<pid_t>* g_fleet_pids = nullptr;
   exit(1);
 }
 
+/// A port that was free a moment ago. The probe socket is closed before a
+/// daemon binds the port, so the kernel may hand the same port out again:
+/// never return one this process already handed out.
 uint16_t PickFreePort() {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Die("bind for port probe failed");
+  static std::set<uint16_t> handed_out;
+  while (true) {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      Die("bind for port probe failed");
+    }
+    socklen_t len = sizeof(addr);
+    getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    close(fd);
+    const uint16_t port = ntohs(addr.sin_port);
+    if (handed_out.insert(port).second) return port;
   }
-  socklen_t len = sizeof(addr);
-  getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  close(fd);
-  return ntohs(addr.sin_port);
 }
 
 int ConnectTo(uint16_t port, uint64_t timeout_ms) {
@@ -126,6 +135,11 @@ int ConnectTo(uint16_t port, uint64_t timeout_ms) {
     if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
       int one = 1;
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      // No reply takes this long: a stuck daemon (or a foreign listener
+      // on a port that lost a race) fails the run instead of hanging it.
+      timeval reply_timeout{30, 0};
+      setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &reply_timeout,
+                 sizeof(reply_timeout));
       return fd;
     }
     close(fd);
@@ -329,23 +343,69 @@ pid_t SpawnOne(const std::string& tardisd, const Fleet& fleet, size_t site) {
   return pid;
 }
 
+/// Connects to a freshly spawned daemon's client port; -1 as soon as the
+/// daemon exits instead of coming up (then it is reaped and *pid is -1).
+int ConnectToSpawned(pid_t* pid, uint16_t port, uint64_t timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const int fd = ConnectTo(port, 100);
+    if (fd >= 0) return fd;
+    if (waitpid(*pid, nullptr, WNOHANG) == *pid) {
+      *pid = -1;
+      return -1;
+    }
+  }
+  return -1;
+}
+
 void SpawnFleet(const std::string& tardisd, size_t n,
                 std::vector<std::string> extra_args, Fleet* fleet) {
   fleet->extra_args = std::move(extra_args);
-  for (size_t i = 0; i < n; i++) {
-    fleet->repl_ports.push_back(PickFreePort());
-    fleet->client_ports.push_back(PickFreePort());
-    fleet->metrics_ports.push_back(PickFreePort());
-    if (i) fleet->peers_flag += ",";
-    fleet->peers_flag += "127.0.0.1:" + std::to_string(fleet->repl_ports[i]);
-  }
-  for (size_t i = 0; i < n; i++) {
-    fleet->pids.push_back(SpawnOne(tardisd, *fleet, i));
-  }
-  for (size_t i = 0; i < n; i++) {
-    const int fd = ConnectTo(fleet->client_ports[i], 10'000);
-    if (fd < 0) Die("site " + std::to_string(i) + " never came up");
-    fleet->conns.push_back(fd);
+  // A daemon exits at start-up when one of its ports was taken between the
+  // probe and its bind (e.g. by a peer's outgoing connection). That is a
+  // race of this harness, not of the daemon: reap the whole fleet and start
+  // it again on fresh ports, a few times at most.
+  for (int attempt = 1;; attempt++) {
+    for (size_t i = 0; i < n; i++) {
+      fleet->repl_ports.push_back(PickFreePort());
+      fleet->client_ports.push_back(PickFreePort());
+      fleet->metrics_ports.push_back(PickFreePort());
+      if (i) fleet->peers_flag += ",";
+      fleet->peers_flag += "127.0.0.1:" + std::to_string(fleet->repl_ports[i]);
+    }
+    for (size_t i = 0; i < n; i++) {
+      fleet->pids.push_back(SpawnOne(tardisd, *fleet, i));
+    }
+    size_t down = n;
+    for (size_t i = 0; i < n; i++) {
+      const int fd =
+          ConnectToSpawned(&fleet->pids[i], fleet->client_ports[i], 10'000);
+      if (fd < 0) {
+        down = i;
+        break;
+      }
+      fleet->conns.push_back(fd);
+    }
+    if (down == n) return;
+    // Reap before dying too: Die only knows the fleets already registered,
+    // and a leftover daemon would hold the harness's output pipe open.
+    for (int fd : fleet->conns) close(fd);
+    for (pid_t pid : fleet->pids) {
+      if (pid > 0) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+      }
+    }
+    fleet->pids.clear();
+    fleet->conns.clear();
+    fleet->repl_ports.clear();
+    fleet->client_ports.clear();
+    fleet->metrics_ports.clear();
+    fleet->peers_flag.clear();
+    if (attempt == 3) Die("site " + std::to_string(down) + " never came up");
+    fprintf(stderr, "tardisd_driver: site %zu did not come up; respawning "
+                    "the fleet on fresh ports\n", down);
   }
 }
 
@@ -714,10 +774,11 @@ long long StatesCount(int fd) {
 ///      IDENTICAL state id, no second commit (states count unchanged,
 ///      dedup-hit metric increments). A corrupt `*S` token is rejected
 ///      with a retryable ERR HEADER — never silently stripped;
-///   c. site 0 is SIGKILLed mid-session; the client's next write fails
-///      over — its session floors make a lagging target answer ERR
-///      BEHIND, which the client retries internally — and a
-///      read-your-writes get returns the pre-crash value;
+///   c. once a peer holds site 0's session writes, site 0 is SIGKILLed
+///      mid-session; the client's next write fails over — its session
+///      floors make a lagging target answer ERR BEHIND, which the client
+///      retries internally — and a read-your-writes get returns the
+///      pre-crash value;
 ///   d. a deliberately uncoverable floor returns ERR BEHIND, and the
 ///      same read with the stale-ok flag is served anyway: the bounded-
 ///      staleness degraded-read mode;
@@ -780,7 +841,16 @@ int RunSessionRetry(const std::string& tardisd, const std::string& dir) {
   }
   printf("== session: duplicate answered from dedup, corrupt *S rejected\n");
 
-  // c. SIGKILL the serving site mid-session; the client fails over.
+  // c. SIGKILL the serving site mid-session; the client fails over. Writes
+  // that never left site 0 cannot be read anywhere after the kill, so wait
+  // until one survivor holds them (0:2 = sess_dup is applied only after
+  // its parent 0:1 = sess_a); the other survivor may still lag.
+  if (!WaitFor([&] {
+        return Cmd(fleet.conns[1], "get sess_dup") == "VALUE A" ||
+               Cmd(fleet.conns[2], "get sess_dup") == "VALUE A";
+      })) {
+    Die("site 0's session writes never reached a peer");
+  }
   kill(fleet.pids[0], SIGKILL);
   waitpid(fleet.pids[0], nullptr, 0);
   fleet.pids[0] = -1;

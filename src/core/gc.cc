@@ -198,15 +198,19 @@ void GarbageCollector::RecordPromotionPass(GcStats* stats) {
     // readable, and nothing has to be re-tagged on later GC cycles.
     std::unordered_map<StateId, StateId> winner;  // heir id -> winning sid
     std::vector<std::pair<VersionEntry, StateId>> dead;  // entry, heir id
-    for (const VersionEntry& v : versions) {
-      if (!v.state->deleted.load()) continue;
-      StatePtr heir = dag_->Resolve(v.sid);
-      const StateId heir_id = heir ? heir->id() : kInvalidStateId;
-      dead.emplace_back(v, heir_id);
-      if (heir_id == kInvalidStateId) continue;  // branch gone: prune
-      auto it = winner.find(heir_id);
-      if (it == winner.end() || v.sid > it->second) {
-        winner[heir_id] = v.sid;
+    {
+      // One commit-lock acquisition resolves every dead version of the key.
+      std::lock_guard<std::mutex> dag_guard(dag_->Lock());
+      for (const VersionEntry& v : versions) {
+        if (!v.state->deleted.load()) continue;
+        StatePtr heir = dag_->ResolveLocked(v.sid);
+        const StateId heir_id = heir ? heir->id() : kInvalidStateId;
+        dead.emplace_back(v, heir_id);
+        if (heir_id == kInvalidStateId) continue;  // branch gone: prune
+        auto it = winner.find(heir_id);
+        if (it == winner.end() || v.sid > it->second) {
+          winner[heir_id] = v.sid;
+        }
       }
     }
     for (const auto& [v, heir_id] : dead) {

@@ -47,6 +47,19 @@ StatusOr<VersionEntry> KeyVersionMap::GetVisible(
   return Status::NotFound();
 }
 
+StatusOr<VersionEntry> KeyVersionMap::Get(const Slice& key,
+                                          StateId sid) const {
+  std::shared_lock<std::shared_mutex> gate(gate_);
+  VersionList* list = GetList(key);
+  if (list == nullptr) return Status::NotFound();
+  VersionList::Iterator it(list);
+  VersionEntry probe;
+  probe.sid = sid;
+  it.Seek(probe);
+  if (it.Valid() && it.key().sid == sid) return it.key();
+  return Status::NotFound();
+}
+
 std::vector<VersionEntry> KeyVersionMap::Versions(const Slice& key) const {
   std::shared_lock<std::shared_mutex> gate(gate_);
   std::vector<VersionEntry> out;

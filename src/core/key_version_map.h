@@ -53,6 +53,10 @@ class KeyVersionMap {
   StatusOr<VersionEntry> GetVisible(const Slice& key,
                                     const State& read_state) const;
 
+  /// The version of `key` written by state `sid` itself. Status::NotFound
+  /// if there is none.
+  StatusOr<VersionEntry> Get(const Slice& key, StateId sid) const;
+
   /// All live versions of `key`, most recent first (GC and diagnostics).
   std::vector<VersionEntry> Versions(const Slice& key) const;
 

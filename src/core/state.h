@@ -31,7 +31,8 @@ class State {
 
   /// Immutable-snapshot fork path. Mutations (the retroactive update when
   /// a state gains a second child, see StateDag) swap the pointer; readers
-  /// always see a consistent path.
+  /// always see a consistent path. The object may be shared with other
+  /// states on the same branch segment.
   std::shared_ptr<const ForkPath> fork_path() const {
     return fork_path_.load(std::memory_order_acquire);
   }
@@ -62,9 +63,6 @@ class State {
   /// validation write set.
   KeySet& inherited_writes() { return inherited_writes_; }
   const KeySet& inherited_writes() const { return inherited_writes_; }
-  /// Read set (kept for the Serializability end constraint).
-  KeySet& read_set() { return read_set_; }
-  const KeySet& read_set() const { return read_set_; }
 
   bool is_merge() const { return is_merge_; }
   void set_is_merge(bool v) { is_merge_ = v; }
@@ -102,7 +100,6 @@ class State {
   uint32_t child_slots_ = 0;
   KeySet write_set_;
   KeySet inherited_writes_;
-  KeySet read_set_;
   bool is_merge_ = false;
   uint64_t session_id_ = 0;
   uint64_t session_seq_ = 0;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <map>
 #include <queue>
+#include <string_view>
 
 #include "obs/trace.h"
 
@@ -14,6 +14,117 @@ namespace {
 /// Every replica names the initial empty-database state identically so
 /// that replicated transactions rooted at it resolve everywhere.
 const GlobalStateId kRootGuid{0xFFFFFFFFu, 0};
+
+/// One bitmask over the tips of a walk per row (a state or a key), rows
+/// stored flat. Any number of tips; merges rarely name more than 64.
+class TipMasks {
+ public:
+  explicit TipMasks(size_t tips) : words_((tips + 63) / 64) {}
+
+  size_t AddRow() {
+    bits_.resize(bits_.size() + words_, 0);
+    return bits_.size() / words_ - 1;
+  }
+  void Set(size_t row, size_t tip) {
+    bits_[row * words_ + tip / 64] |= uint64_t{1} << (tip % 64);
+  }
+  bool Test(size_t row, size_t tip) const {
+    return (bits_[row * words_ + tip / 64] >> (tip % 64)) & 1;
+  }
+  void Or(size_t row, const TipMasks& from, size_t from_row) {
+    for (size_t w = 0; w < words_; w++) {
+      bits_[row * words_ + w] |= from.bits_[from_row * words_ + w];
+    }
+  }
+  size_t Count(size_t row) const {
+    size_t n = 0;
+    for (size_t w = 0; w < words_; w++) {
+      n += __builtin_popcountll(bits_[row * words_ + w]);
+    }
+    return n;
+  }
+
+ private:
+  const size_t words_;
+  std::vector<uint64_t> bits_;
+};
+
+/// Visits the ancestors-or-self of `tips` with ids >= `min_id` in
+/// descending id order. Each state gets a row in `masks` holding the tips
+/// it is reached from; `visit(state, row)` returns false to stop the walk.
+/// Because every edge goes from a smaller id to a larger one, all of a
+/// state's reached children are popped before it, so its mask is complete
+/// when it is visited. Caller holds the DAG lock (the heap points into
+/// parent vectors).
+template <typename Visit>
+void WalkFromTips(const std::vector<StatePtr>& tips, StateId min_id,
+                  TipMasks* masks, Visit visit) {
+  std::unordered_map<const State*, size_t> row_of;
+  std::priority_queue<std::pair<StateId, const StatePtr*>> heap;
+  auto row = [&](const StatePtr& s) {
+    auto [it, fresh] = row_of.try_emplace(s.get(), 0);
+    if (fresh) {
+      it->second = masks->AddRow();
+      heap.emplace(s->id(), &s);
+    }
+    return it->second;
+  };
+  for (size_t i = 0; i < tips.size(); i++) {
+    if (tips[i]->id() >= min_id) masks->Set(row(tips[i]), i);
+  }
+  while (!heap.empty()) {
+    const StatePtr& s = *heap.top().second;
+    heap.pop();
+    const size_t r = row_of[s.get()];
+    if (!visit(s, r)) return;
+    for (const StatePtr& p : s->parents()) {
+      if (p->id() >= min_id) masks->Or(row(p), *masks, r);
+    }
+  }
+}
+
+/// The largest-id common ancestor of `tips` (the first state reached from
+/// every tip), found by one descending-id walk that stops there. With
+/// `pair_forks`, also fills the same answer for every pair i < j, in
+/// (0,1), (0,2), ..., (1,2), ... order; a pair's fork is its first state
+/// reached from both, which the walk reaches no later than the overall
+/// one. Caller holds the DAG lock.
+StatePtr ForkPointWalk(const std::vector<StatePtr>& tips,
+                       std::vector<StatePtr>* pair_forks) {
+  const size_t k = tips.size();
+  if (k == 0) return nullptr;
+  size_t pairs_left = 0;
+  if (pair_forks != nullptr) {
+    pairs_left = k * (k - 1) / 2;
+    pair_forks->assign(pairs_left, nullptr);
+  }
+  TipMasks masks(k);
+  std::vector<size_t> bits;
+  StatePtr overall;
+  WalkFromTips(tips, 0, &masks, [&](const StatePtr& s, size_t row) {
+    const size_t reached = masks.Count(row);
+    if (pairs_left > 0 && reached >= 2) {
+      bits.clear();
+      for (size_t i = 0; i < k; i++) {
+        if (masks.Test(row, i)) bits.push_back(i);
+      }
+      for (size_t a = 0; a < bits.size(); a++) {
+        for (size_t b = a + 1; b < bits.size(); b++) {
+          const size_t i = bits[a], j = bits[b];
+          StatePtr& slot = (*pair_forks)[i * (2 * k - i - 1) / 2 + j - i - 1];
+          if (slot == nullptr) {
+            slot = s;
+            pairs_left--;
+          }
+        }
+      }
+    }
+    if (reached < k) return true;
+    overall = s;
+    return false;
+  });
+  return overall;
+}
 }  // namespace
 
 StateDag::StateDag(uint32_t site_id) : site_id_(site_id) {
@@ -37,16 +148,15 @@ GlobalStateId StateDag::NextLocalGuid() {
 }
 
 StatePtr StateDag::CreateStateLocked(const std::vector<StatePtr>& parents,
-                                     GlobalStateId guid, KeySet read_set,
-                                     KeySet write_set, bool is_merge) {
+                                     GlobalStateId guid, KeySet write_set,
+                                     bool is_merge) {
   return CreateStateWithIdLocked(next_id_.fetch_add(1), parents, guid,
-                                 std::move(read_set), std::move(write_set),
-                                 is_merge);
+                                 std::move(write_set), is_merge);
 }
 
 StatePtr StateDag::CreateStateWithIdLocked(
     StateId id, const std::vector<StatePtr>& parents, GlobalStateId guid,
-    KeySet read_set, KeySet write_set, bool is_merge) {
+    KeySet write_set, bool is_merge) {
   assert(!parents.empty());
   // Keep the counters ahead of explicitly supplied ids (recovery).
   uint64_t expect = next_id_.load();
@@ -58,7 +168,6 @@ StatePtr StateDag::CreateStateWithIdLocked(
     }
   }
   auto state = std::make_shared<State>(id, guid);
-  state->read_set() = std::move(read_set);
   state->write_set() = std::move(write_set);
   state->set_is_merge(is_merge);
 
@@ -71,6 +180,7 @@ StatePtr StateDag::CreateStateWithIdLocked(
   std::vector<uint32_t> slots;
   slots.reserve(parents.size());
   for (const StatePtr& parent : parents) {
+    assert(parent->id() < id && "edges must go from smaller to larger ids");
     const uint32_t slot = parent->AllocateChildSlot();
     slots.push_back(slot);
     if (slot == 2) {
@@ -86,14 +196,19 @@ StatePtr StateDag::CreateStateWithIdLocked(
     state->parents().push_back(parent);
     leaves_.erase(parent.get());
   }
-  ForkPath path;
-  for (size_t i = 0; i < parents.size(); i++) {
-    path.Union(*parents[i]->fork_path());
-    if (slots[i] >= 2) {
-      path.Add(ForkPoint{parents[i]->id(), slots[i]});
+  if (parents.size() == 1 && slots[0] == 1) {
+    // A plain chain commit: same branch, same fork path object.
+    state->set_fork_path(parents[0]->fork_path());
+  } else {
+    ForkPath path = *parents[0]->fork_path();
+    for (size_t i = 1; i < parents.size(); i++) {
+      path.Union(*parents[i]->fork_path());
     }
+    for (size_t i = 0; i < parents.size(); i++) {
+      if (slots[i] >= 2) path.Add(ForkPoint{parents[i]->id(), slots[i]});
+    }
+    state->set_fork_path(std::make_shared<const ForkPath>(std::move(path)));
   }
-  state->set_fork_path(std::make_shared<const ForkPath>(std::move(path)));
 
   by_id_[state->id()] = state;
   by_guid_[state->guid()] = state;
@@ -105,16 +220,28 @@ void StateDag::RetroactiveForkAnnotationLocked(const StatePtr& first_child,
                                                ForkPoint entry) {
   // DFS over the first child's subtree, adding `entry` to every fork
   // path. Subtrees below a fresh fork are typically tiny: conflicts are
-  // detected within a handful of commits.
+  // detected within a handful of commits. States that shared a path
+  // object keep sharing one: each distinct old path is rewritten once.
+  struct Rewrite {
+    std::shared_ptr<const ForkPath> old_path;  // pins the memo key
+    std::shared_ptr<const ForkPath> new_path;
+  };
+  std::unordered_map<const ForkPath*, Rewrite> rewritten;
   std::deque<StatePtr> work{first_child};
   std::unordered_set<State*> seen;
   while (!work.empty()) {
     StatePtr s = work.back();
     work.pop_back();
     if (!seen.insert(s.get()).second) continue;
-    ForkPath updated = *s->fork_path();
-    updated.Add(entry);
-    s->set_fork_path(std::make_shared<const ForkPath>(std::move(updated)));
+    std::shared_ptr<const ForkPath> old_path = s->fork_path();
+    Rewrite& r = rewritten[old_path.get()];
+    if (r.new_path == nullptr) {
+      ForkPath updated = *old_path;
+      updated.Add(entry);
+      r.new_path = std::make_shared<const ForkPath>(std::move(updated));
+      r.old_path = std::move(old_path);
+    }
+    s->set_fork_path(r.new_path);
     for (const StatePtr& c : s->children()) work.push_back(c);
   }
 }
@@ -208,33 +335,7 @@ StatePtr StateDag::FindForkPoint(const std::vector<StatePtr>& states) const {
 
 StatePtr StateDag::FindForkPointLocked(
     const std::vector<StatePtr>& states) const {
-  if (states.empty()) return nullptr;
-  if (states.size() == 1) return states[0];
-
-  // Walk ancestors of each tip, collecting reachable sets; the deepest
-  // common ancestor is the common state with the largest id. The walk is
-  // bounded by the (compressed) DAG size.
-  std::unordered_map<State*, size_t> reach_count;
-  std::unordered_map<State*, StatePtr> ptr_of;
-  for (const StatePtr& tip : states) {
-    std::unordered_set<State*> seen;
-    std::deque<StatePtr> work{tip};
-    while (!work.empty()) {
-      StatePtr s = work.back();
-      work.pop_back();
-      if (!seen.insert(s.get()).second) continue;
-      reach_count[s.get()]++;
-      ptr_of[s.get()] = s;
-      for (const StatePtr& p : s->parents()) work.push_back(p);
-    }
-  }
-  StatePtr best;
-  for (const auto& [state, count] : reach_count) {
-    if (count == states.size()) {
-      if (!best || state->id() > best->id()) best = ptr_of[state];
-    }
-  }
-  return best;
+  return ForkPointWalk(states, nullptr);
 }
 
 std::vector<StatePtr> StateDag::FindForkPoints(
@@ -243,13 +344,16 @@ std::vector<StatePtr> StateDag::FindForkPoints(
   std::vector<StatePtr> out;
   if (states.empty()) return out;
   if (states.size() == 1) return {states[0]};
+  std::vector<StatePtr> pair_forks;
+  StatePtr overall;
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    overall = ForkPointWalk(states, &pair_forks);
+  }
   std::unordered_set<State*> seen;
-  for (size_t i = 0; i < states.size(); i++) {
-    for (size_t j = i + 1; j < states.size(); j++) {
-      StatePtr fork = FindForkPoint({states[i], states[j]});
-      if (fork != nullptr && seen.insert(fork.get()).second) {
-        out.push_back(std::move(fork));
-      }
+  for (StatePtr& fork : pair_forks) {
+    if (fork != nullptr && seen.insert(fork.get()).second) {
+      out.push_back(std::move(fork));
     }
   }
   std::sort(out.begin(), out.end(),
@@ -259,7 +363,6 @@ std::vector<StatePtr> StateDag::FindForkPoints(
   // The overall (shallowest) fork point leads, matching the paper's
   // examples that take `.first` as *the* fork point of the merge: it is
   // the unique point from which every branch is reachable.
-  StatePtr overall = FindForkPoint(states);
   if (overall != nullptr) {
     auto it = std::find(out.begin(), out.end(), overall);
     if (it != out.end()) out.erase(it);
@@ -326,33 +429,33 @@ std::string StateDag::ToDot() const {
 KeySet StateDag::FindConflictWrites(const StatePtr& fork,
                                     const std::vector<StatePtr>& tips) const {
   TARDIS_TRACE_SCOPE("dag", "find_conflict_writes");
-  // Per tip, union the write sets of states on the path(s) from the tip
-  // up to (excluding) the fork state; a key appearing under >= 2 tips is
-  // in conflict.
+  // One walk below the fork: each state's own and inherited writes are
+  // charged to every tip it is reached from, and a key charged to >= 2
+  // tips is in conflict.
   std::lock_guard<std::mutex> guard(mu_);
-  std::map<std::string, int> written_by_branches;
-  for (const StatePtr& tip : tips) {
-    KeySet branch_writes;
-    std::unordered_set<State*> seen;
-    std::deque<StatePtr> work{tip};
-    while (!work.empty()) {
-      StatePtr s = work.back();
-      work.pop_back();
-      if (s->id() <= fork->id()) continue;  // at or above the fork
-      if (!seen.insert(s.get()).second) continue;
-      branch_writes.Union(s->write_set());
-      branch_writes.Union(s->inherited_writes());
-      for (const StatePtr& p : s->parents()) work.push_back(p);
-    }
-    for (const std::string& k : branch_writes.keys()) {
-      written_by_branches[k]++;
-    }
+  TipMasks state_masks(tips.size());
+  TipMasks key_masks(tips.size());
+  std::unordered_map<std::string_view, size_t> key_row;
+  WalkFromTips(tips, fork->id() + 1, &state_masks,
+               [&](const StatePtr& s, size_t row) {
+                 for (const KeySet* keys :
+                      {&s->write_set(), &s->inherited_writes()}) {
+                   for (const std::string& k : keys->keys()) {
+                     auto [it, fresh] = key_row.try_emplace(k, 0);
+                     if (fresh) it->second = key_masks.AddRow();
+                     key_masks.Or(it->second, state_masks, row);
+                   }
+                 }
+                 return true;
+               });
+  std::vector<std::string> conflicts;
+  for (const auto& [key, row] : key_row) {
+    if (key_masks.Count(row) >= 2) conflicts.emplace_back(key);
   }
-  KeySet conflicts;
-  for (const auto& [key, count] : written_by_branches) {
-    if (count >= 2) conflicts.Add(key);
-  }
-  return conflicts;
+  std::sort(conflicts.begin(), conflicts.end());
+  KeySet out;
+  for (std::string& k : conflicts) out.Add(std::move(k));
+  return out;
 }
 
 void StateDag::DeleteStateLocked(const StatePtr& victim,
@@ -365,6 +468,7 @@ void StateDag::DeleteStateLocked(const StatePtr& victim,
     auto& up = c->parents();
     up.erase(std::remove(up.begin(), up.end(), victim), up.end());
     if (c != heir) {
+      assert(heir->id() < c->id() && "splice would invert an edge");
       up.push_back(heir);
       heir->children().push_back(c);
     }

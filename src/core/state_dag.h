@@ -11,7 +11,11 @@
 //    annotated with (parent, 1). The retroactive pass runs inside the
 //    commit critical section, before the new state is published, so
 //    readers never observe a torn branch structure (records created before
-//    the fork are filtered by the id comparison in descendantCheck);
+//    the fork are filtered by the id comparison in descendantCheck). A
+//    plain chain commit shares its parent's path object;
+//  * the id-order invariant: every edge goes from a smaller id to a larger
+//    one. Fork-point and conflict searches rely on it to walk only the
+//    states above the fork point, in descending id order;
 //  * the leaf set, which read-state selection walks "from the leaves up";
 //  * the promotion table id -> id left behind by DAG compression (§6.3),
 //    resolved union-find style;
@@ -59,16 +63,17 @@ class StateDag {
   /// commits. Returns the published state. Caller must hold the commit
   /// lock (Lock()).
   StatePtr CreateStateLocked(const std::vector<StatePtr>& parents,
-                             GlobalStateId guid, KeySet read_set,
-                             KeySet write_set, bool is_merge);
+                             GlobalStateId guid, KeySet write_set,
+                             bool is_merge);
 
   /// As CreateStateLocked but with a caller-chosen local id (recovery
   /// replays states under their original ids so record B-Tree keys stay
   /// valid, §6.5). Advances the id/seq counters past the given values.
+  /// `id` must exceed every parent's id.
   StatePtr CreateStateWithIdLocked(StateId id,
                                    const std::vector<StatePtr>& parents,
-                                   GlobalStateId guid, KeySet read_set,
-                                   KeySet write_set, bool is_merge);
+                                   GlobalStateId guid, KeySet write_set,
+                                   bool is_merge);
 
   /// Fresh replication identity for a local commit.
   GlobalStateId NextLocalGuid();
@@ -133,8 +138,10 @@ class StateDag {
       const std::function<bool(const StatePtr&)>& visit) const;
 
   /// Deepest common ancestor of `states` — the fork point exposed by
-  /// findForkPoints (§6.2). For states on the same branch returns the
-  /// shallower one.
+  /// findForkPoints (§6.2): the common ancestor with the largest id. For
+  /// states on the same branch returns the shallower one. One walk down
+  /// from the tips in descending id order, stopping at the answer, so its
+  /// cost grows with the branches, not with the history.
   StatePtr FindForkPoint(const std::vector<StatePtr>& states) const;
   /// As FindForkPoint, for callers already inside the commit critical
   /// section (e.g. the trie fast path picking a merge base).
@@ -143,7 +150,7 @@ class StateDag {
   /// The *structured* set of fork points (Table 2): the deepest common
   /// ancestor of every pair of `states`, deduplicated and ordered deepest
   /// (most recent) first. The first element is the overall fork point the
-  /// paper's examples use.
+  /// paper's examples use. All pairs come from the same single walk.
   std::vector<StatePtr> FindForkPoints(
       const std::vector<StatePtr>& states) const;
 
@@ -162,10 +169,11 @@ class StateDag {
 
   // ---- GC support (used by GarbageCollector; all require Lock()) --------
 
-  /// Unlinks `victim` from the DAG, records Promote(victim -> heir) and
-  /// merges victim's write set into the heir (record promotion will move
-  /// the actual versions). `heir` must be victim's most recent surviving
-  /// child.
+  /// Unlinks `victim` from the DAG and records Promote(victim -> heir)
+  /// (record promotion will move the actual versions). `heir` must be
+  /// victim's only child, as GC guarantees: splicing a victim with several
+  /// children would link the heir (the newest child) to an older sibling
+  /// and break the id-order invariant (checked by a debug assert).
   void DeleteStateLocked(const StatePtr& victim, const StatePtr& heir);
 
   /// All live states, id order. Requires Lock().

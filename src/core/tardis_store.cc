@@ -292,6 +292,28 @@ Status TardisStore::LoadValue(const Slice& key, const VersionEntry& entry,
   return record_store_->Get(EncodeRecordKey(key, entry.sid), value);
 }
 
+void TardisStore::PersistRecord(const std::string& key, StateId sid,
+                                const std::string& value) {
+  // Without a dir nothing reloads records: the version map holds the one
+  // copy of each value.
+  if (options_.dir.empty()) return;
+  Status s = record_store_->Put(EncodeRecordKey(key, sid), value);
+  if (!s.ok()) {
+    commit_log_degraded_.store(true, std::memory_order_relaxed);
+    TARDIS_ERROR("record persist: %s", s.ToString().c_str());
+  }
+}
+
+StatusOr<std::shared_ptr<const std::string>> TardisStore::ReadOwnVersion(
+    const Slice& key, StateId sid) {
+  auto entry = kvmap_.Get(key, sid);
+  if (!entry.ok()) return entry.status();
+  if (entry->value != nullptr) return entry->value;
+  std::string loaded;
+  TARDIS_RETURN_IF_ERROR(LoadValue(key, *entry, &loaded));
+  return std::make_shared<const std::string>(std::move(loaded));
+}
+
 Status TardisStore::TxnGet(Transaction* t, const Slice& key,
                            std::string* value) {
   if (t->ctx_.read_states.empty()) {
@@ -310,7 +332,7 @@ Status TardisStore::TxnGet(Transaction* t, const Slice& key,
 
 Status TardisStore::TxnGetForId(Transaction* t, const Slice& key,
                                 StateId sid, std::string* value) {
-  StatePtr state = dag_.Resolve(sid);
+  StatePtr state = t->ResolveState(sid);
   if (state == nullptr) {
     return Status::Unavailable("state " + std::to_string(sid) +
                                " unknown or garbage-collected");
@@ -455,8 +477,7 @@ Status TardisStore::CommitTxn(Transaction* t, const EndConstraintPtr& ec_in) {
 
     const bool is_merge = parents.size() > 1;
     new_state = dag_.CreateStateLocked(parents, dag_.NextLocalGuid(),
-                                       t->ctx_.reads, t->ctx_.writes,
-                                       is_merge);
+                                       t->ctx_.writes, is_merge);
     if (t->session_tag_id_ != 0) {
       new_state->set_session_tag(t->session_tag_id_, t->session_tag_seq_);
     }
@@ -500,12 +521,7 @@ Status TardisStore::CommitTxn(Transaction* t, const EndConstraintPtr& ec_in) {
   // Persistence of the record payloads happens outside the critical
   // section; reads are already served from the version entries.
   for (const auto& [key, value] : t->write_cache_) {
-    Status s = record_store_->Put(EncodeRecordKey(key, new_state->id()),
-                                  *value);
-    if (!s.ok()) {
-      commit_log_degraded_.store(true, std::memory_order_relaxed);
-      TARDIS_ERROR("record persist: %s", s.ToString().c_str());
-    }
+    PersistRecord(key, new_state->id(), *value);
   }
 
   t->session_->last_commit_ = new_state;
@@ -595,7 +611,7 @@ Status TardisStore::ApplyRemote(const CommitRecord& record) {
     KeySet writes;
     for (const auto& [key, value] : record.writes) writes.Add(key);
 
-    new_state = dag_.CreateStateLocked(parents, record.guid, KeySet(),
+    new_state = dag_.CreateStateLocked(parents, record.guid,
                                        std::move(writes), record.is_merge);
     if (record.session_id != 0) {
       new_state->set_session_tag(record.session_id, record.session_seq);
@@ -631,12 +647,7 @@ Status TardisStore::ApplyRemote(const CommitRecord& record) {
     }
   }
   for (const auto& [key, value] : record.writes) {
-    Status s = record_store_->Put(EncodeRecordKey(key, new_state->id()),
-                                  *value);
-    if (!s.ok()) {
-      commit_log_degraded_.store(true, std::memory_order_relaxed);
-      TARDIS_ERROR("record persist: %s", s.ToString().c_str());
-    }
+    PersistRecord(key, new_state->id(), *value);
   }
   if (record.session_id != 0) {
     // A gossiped tagged commit extends dedup coverage to this site: a
@@ -750,8 +761,7 @@ Status TardisStore::RecoverEntry(const CommitLogEntry& entry,
   KeySet writes;
   for (const std::string& k : entry.write_keys) writes.Add(k);
   StatePtr state = dag_.CreateStateWithIdLocked(
-      entry.id, parents, entry.guid, KeySet(), std::move(writes),
-      entry.is_merge);
+      entry.id, parents, entry.guid, std::move(writes), entry.is_merge);
   if (entry.session_id != 0) {
     // Rebuild the exactly-once dedup table from the replayed log, so a
     // client retrying across this site's crash-restart still dedups.

@@ -131,6 +131,11 @@ class TardisStore {
   /// original parent states (the StateID constraint of §6.4). Idempotent.
   /// Returns Status::Unavailable if a parent has not been received yet.
   Status ApplyRemote(const CommitRecord& record);
+  /// The value state `sid` itself wrote for `key`: its own entry in the
+  /// version map, loaded from the record store after recovery. NotFound if
+  /// the state wrote no such version (or GC pruned it).
+  StatusOr<std::shared_ptr<const std::string>> ReadOwnVersion(
+      const Slice& key, StateId sid);
 
   // ---- durability ---------------------------------------------------------
   /// Flushes record store and commit log to stable storage. Fails while
@@ -204,6 +209,10 @@ class TardisStore {
 
   Status LoadValue(const Slice& key, const VersionEntry& entry,
                    std::string* value);
+  /// Writes a committed value to the record store of a durable store (a
+  /// failure degrades durability); no-op for an in-memory store.
+  void PersistRecord(const std::string& key, StateId sid,
+                     const std::string& value);
 
   /// Builds the trie branch of a freshly created state: fork from a
   /// single parent, or a fold of 3-way merges for merge states, then the

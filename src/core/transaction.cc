@@ -50,19 +50,34 @@ std::vector<StateId> Transaction::parents() const {
   return out;
 }
 
-StatusOr<std::vector<StateId>> Transaction::FindForkPoints(
+StatePtr Transaction::ResolveState(StateId sid) const {
+  for (const StatePtr& s : ctx_.read_states) {
+    if (s->id() == sid) return s;
+  }
+  return store_->dag()->Resolve(sid);
+}
+
+StatusOr<std::vector<StatePtr>> Transaction::ResolveStates(
     const std::vector<StateId>& states) const {
-  if (!active_) return Status::InvalidArgument("transaction finished");
   std::vector<StatePtr> resolved;
+  resolved.reserve(states.size());
   for (StateId sid : states) {
-    StatePtr s = store_->dag()->Resolve(sid);
+    StatePtr s = ResolveState(sid);
     if (s == nullptr) {
       return Status::Unavailable("state " + std::to_string(sid) +
                                  " unknown or garbage-collected");
     }
     resolved.push_back(std::move(s));
   }
-  std::vector<StatePtr> forks = store_->dag()->FindForkPoints(resolved);
+  return resolved;
+}
+
+StatusOr<std::vector<StateId>> Transaction::FindForkPoints(
+    const std::vector<StateId>& states) const {
+  if (!active_) return Status::InvalidArgument("transaction finished");
+  auto resolved = ResolveStates(states);
+  if (!resolved.ok()) return resolved.status();
+  std::vector<StatePtr> forks = store_->dag()->FindForkPoints(*resolved);
   if (forks.empty()) return Status::NotFound("no common ancestor");
   std::vector<StateId> out;
   out.reserve(forks.size());
@@ -73,22 +88,15 @@ StatusOr<std::vector<StateId>> Transaction::FindForkPoints(
 StatusOr<std::vector<std::string>> Transaction::FindConflictWrites(
     const std::vector<StateId>& states) const {
   if (!active_) return Status::InvalidArgument("transaction finished");
-  std::vector<StatePtr> resolved;
-  for (StateId sid : states) {
-    StatePtr s = store_->dag()->Resolve(sid);
-    if (s == nullptr) {
-      return Status::Unavailable("state " + std::to_string(sid) +
-                                 " unknown or garbage-collected");
-    }
-    resolved.push_back(std::move(s));
-  }
-  StatePtr fork = store_->dag()->FindForkPoint(resolved);
+  auto resolved = ResolveStates(states);
+  if (!resolved.ok()) return resolved.status();
+  StatePtr fork = store_->dag()->FindForkPoint(*resolved);
   if (fork == nullptr) return Status::NotFound("no common ancestor");
   // Fork-native backends answer this with one O(diff) trie diff per
   // branch; otherwise walk the DAG write sets.
   std::vector<std::string> fast;
-  if (store_->TrieConflictWrites(fork, resolved, &fast)) return fast;
-  KeySet conflicts = store_->dag()->FindConflictWrites(fork, resolved);
+  if (store_->TrieConflictWrites(fork, *resolved, &fast)) return fast;
+  KeySet conflicts = store_->dag()->FindConflictWrites(fork, *resolved);
   return conflicts.keys();
 }
 

@@ -91,6 +91,13 @@ class Transaction {
   Transaction(TardisStore* store, ClientSession* session, Mode mode);
 
   void Finish();
+  /// `sid` as a live state: one of the pinned read states directly (GC
+  /// never deletes a pinned state, so no commit lock is needed), any
+  /// other id through the DAG's promotion table. Null if unknown.
+  StatePtr ResolveState(StateId sid) const;
+  /// ResolveState over `states`; Unavailable for an unknown id.
+  StatusOr<std::vector<StatePtr>> ResolveStates(
+      const std::vector<StateId>& states) const;
 
   TardisStore* const store_;
   ClientSession* const session_;

@@ -62,24 +62,45 @@ struct ForkPoint {
   }
 };
 
-/// A branch summary: sorted set of fork points. Small by design —
-/// "conflicts are a small percentage of the total number of operations".
+/// A branch summary: sorted set of fork points. Paths are immutable once
+/// published and shared between states (a plain chain commit reuses its
+/// parent's object), and are stored at exact size: every merge unions
+/// its parents' paths, so paths grow with the branch history and slack
+/// capacity would be paid once per distinct path.
 class ForkPath {
  public:
   ForkPath() = default;
 
-  /// Inserts a fork point, keeping the set sorted and unique.
+  /// Inserts a fork point, keeping the set sorted, unique and exact-size.
   void Add(const ForkPoint& fp) {
     auto it = std::lower_bound(points_.begin(), points_.end(), fp);
     if (it != points_.end() && *it == fp) return;
-    points_.insert(it, fp);
+    const size_t at = it - points_.begin();
+    points_.reserve(points_.size() + 1);  // one slot, not a doubling
+    points_.insert(points_.begin() + at, fp);
   }
 
   /// Set union (used for merge states, whose path is the union of their
-  /// parents' paths).
+  /// parents' paths), exact-size.
   void Union(const ForkPath& other) {
+    size_t n = 0;
+    auto a = points_.begin();
+    auto b = other.points_.begin();
+    while (a != points_.end() && b != other.points_.end()) {
+      n++;
+      if (*a < *b) {
+        ++a;
+      } else if (*b < *a) {
+        ++b;
+      } else {
+        ++a;
+        ++b;
+      }
+    }
+    n += (points_.end() - a) + (other.points_.end() - b);
+    if (n == points_.size()) return;  // other adds nothing
     std::vector<ForkPoint> merged;
-    merged.reserve(points_.size() + other.points_.size());
+    merged.reserve(n);
     std::set_union(points_.begin(), points_.end(), other.points_.begin(),
                    other.points_.end(), std::back_inserter(merged));
     points_ = std::move(merged);
@@ -95,6 +116,7 @@ class ForkPath {
   bool operator==(const ForkPath& o) const { return points_ == o.points_; }
 
   size_t size() const { return points_.size(); }
+  size_t capacity() const { return points_.capacity(); }
   bool empty() const { return points_.empty(); }
   const std::vector<ForkPoint>& points() const { return points_; }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 
-#include "core/record_codec.h"
 #include "core/state.h"
 #include "obs/stage.h"
 #include "obs/trace.h"
@@ -210,7 +209,6 @@ std::vector<CommitRecord> Replicator::BuildRecordsFromStore() {
     std::lock_guard<std::mutex> dag_guard(store_->dag()->Lock());
     states = store_->dag()->AllStatesLocked();
   }
-  RecordStore* records = store_->record_store();
   std::vector<CommitRecord> out;
   out.reserve(states.size());
   for (const StatePtr& s : states) {
@@ -221,17 +219,15 @@ std::vector<CommitRecord> Replicator::BuildRecordsFromStore() {
     for (const StatePtr& p : s->parents()) r.parent_guids.push_back(p->guid());
     bool complete = true;
     for (const std::string& key : s->write_set().keys()) {
-      std::string value;
-      Status st = records->Get(EncodeRecordKey(key, s->id()), &value);
-      if (!st.ok()) {
+      auto value = store_->ReadOwnVersion(key, s->id());
+      if (!value.ok()) {
         TARDIS_WARN("record rebuild: state (%u,%llu) value for '%s' unreadable: %s",
                     r.guid.site, static_cast<unsigned long long>(r.guid.seq),
-                    key.c_str(), st.ToString().c_str());
+                    key.c_str(), value.status().ToString().c_str());
         complete = false;
         break;
       }
-      r.writes.emplace_back(key,
-                            std::make_shared<const std::string>(std::move(value)));
+      r.writes.emplace_back(key, std::move(*value));
     }
     if (complete) out.push_back(std::move(r));
   }

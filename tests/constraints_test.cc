@@ -11,22 +11,20 @@ namespace tardis {
 namespace {
 
 StatePtr Extend(StateDag* dag, const StatePtr& parent,
-                std::vector<std::string> reads = {},
                 std::vector<std::string> writes = {}) {
-  KeySet rs, ws;
-  for (auto& k : reads) rs.Add(k);
+  KeySet ws;
   for (auto& k : writes) ws.Add(k);
   std::lock_guard<std::mutex> guard(dag->Lock());
-  return dag->CreateStateLocked({parent}, dag->NextLocalGuid(),
-                                std::move(rs), std::move(ws), false);
+  return dag->CreateStateLocked({parent}, dag->NextLocalGuid(), std::move(ws),
+                                false);
 }
 
 class ConstraintTest : public ::testing::Test {
  protected:
   void SetUp() override {
     s1_ = Extend(&dag_, dag_.root());
-    s2_ = Extend(&dag_, s1_, {}, {"x"});
-    s3_ = Extend(&dag_, s1_, {}, {"y"});  // fork below s1
+    s2_ = Extend(&dag_, s1_, {"x"});
+    s3_ = Extend(&dag_, s1_, {"y"});  // fork below s1
   }
 
   StateDag dag_;

@@ -11,7 +11,7 @@ namespace {
 StatePtr Extend(StateDag* dag, const StatePtr& parent) {
   std::lock_guard<std::mutex> guard(dag->Lock());
   return dag->CreateStateLocked({parent}, dag->NextLocalGuid(), KeySet(),
-                                KeySet(), false);
+                                false);
 }
 
 TEST(DagIntrospectionTest, DebugStringListsStates) {

@@ -16,7 +16,7 @@ std::shared_ptr<const std::string> Val(const std::string& s) {
 StatePtr Commit(StateDag* dag, const StatePtr& parent) {
   std::lock_guard<std::mutex> guard(dag->Lock());
   return dag->CreateStateLocked({parent}, dag->NextLocalGuid(), KeySet(),
-                                KeySet(), false);
+                                false);
 }
 
 class KvMapTest : public ::testing::Test {

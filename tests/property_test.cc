@@ -7,6 +7,9 @@
 //    own branch's writes (a per-session model map);
 //  * fork-path soundness: DescendantCheck agrees with explicit graph
 //    reachability on randomly grown DAGs with merges;
+//  * fork-point search: FindForkPoint(s) and FindConflictWrites agree with
+//    full reachability on random DAGs with merges, GC splices and
+//    recovered ids, and every edge goes from a smaller id to a larger one;
 //  * counter convergence: random increments across branches + merges add
 //    up exactly;
 //  * GC transparency: visible state is unchanged by compression/pruning;
@@ -14,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <filesystem>
 #include <map>
@@ -29,8 +33,10 @@ namespace {
 
 // ---- sequential equivalence -------------------------------------------------
 
+// The end constraint is a std::string, not a const char*, so gtest prints
+// the parameter by value and the test names do not carry an address.
 class SequentialEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(SequentialEquivalence, MatchesMapModel) {
   const uint64_t seed = std::get<0>(GetParam());
@@ -107,11 +113,12 @@ TEST_P(SequentialEquivalence, MatchesMapModel) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, SequentialEquivalence,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
-                       ::testing::Values("ser", "si", "ser-nb")),
+                       ::testing::Values(std::string("ser"), std::string("si"),
+                                         std::string("ser-nb"))),
     [](const auto& info) {
-      return std::string(std::get<1>(info.param)) == "ser-nb"
+      return std::get<1>(info.param) == "ser-nb"
                  ? "SerNB_" + std::to_string(std::get<0>(info.param))
-                 : std::string(std::get<1>(info.param)) + "_" +
+                 : std::get<1>(info.param) + "_" +
                        std::to_string(std::get<0>(info.param));
     });
 
@@ -218,12 +225,12 @@ TEST_P(ForkPathSoundness, DescendantCheckMatchesReachability) {
       StatePtr a = states[rng.Uniform(states.size())];
       StatePtr b = states[rng.Uniform(states.size())];
       if (a == b) continue;
-      states.push_back(dag.CreateStateLocked({a, b}, dag.NextLocalGuid(),
-                                             KeySet(), KeySet(), true));
+      states.push_back(
+          dag.CreateStateLocked({a, b}, dag.NextLocalGuid(), KeySet(), true));
     } else {
       StatePtr parent = states[rng.Uniform(states.size())];
       states.push_back(dag.CreateStateLocked({parent}, dag.NextLocalGuid(),
-                                             KeySet(), KeySet(), false));
+                                             KeySet(), false));
     }
   }
 
@@ -244,6 +251,178 @@ TEST_P(ForkPathSoundness, DescendantCheckMatchesReachability) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ForkPathSoundness,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// ---- fork-point search ------------------------------------------------------------
+
+/// Reference FindForkPoint: the largest-id state reachable upward from
+/// every tip, from full reachability over the live states.
+StatePtr ReferenceForkPoint(const std::vector<StatePtr>& live,
+                            const std::vector<StatePtr>& tips) {
+  StatePtr best;
+  for (const StatePtr& s : live) {
+    bool common = true;
+    for (const StatePtr& t : tips) {
+      if (!Reachable(s.get(), t.get())) {
+        common = false;
+        break;
+      }
+    }
+    if (common && (!best || s->id() > best->id())) best = s;
+  }
+  return best;
+}
+
+/// Reference FindConflictWrites: per tip, the own and inherited writes of
+/// every state reachable from it through states above the fork.
+KeySet ReferenceConflicts(const StatePtr& fork,
+                          const std::vector<StatePtr>& tips) {
+  std::map<std::string, int> branches;
+  for (const StatePtr& tip : tips) {
+    std::set<std::string> keys;
+    std::set<const State*> seen;
+    std::deque<const State*> work{tip.get()};
+    while (!work.empty()) {
+      const State* s = work.front();
+      work.pop_front();
+      if (s->id() <= fork->id() || !seen.insert(s).second) continue;
+      for (const KeySet* ks : {&s->write_set(), &s->inherited_writes()}) {
+        keys.insert(ks->keys().begin(), ks->keys().end());
+      }
+      for (const StatePtr& p : s->parents()) work.push_back(p.get());
+    }
+    for (const std::string& k : keys) branches[k]++;
+  }
+  KeySet out;
+  for (const auto& [k, n] : branches) {
+    if (n >= 2) out.Add(k);
+  }
+  return out;
+}
+
+class ForkPointSearch : public ::testing::TestWithParam<int> {};
+
+TEST_P(ForkPointSearch, MatchesLargestIdCommonAncestor) {
+  StateDag dag(3);
+  Random rng(GetParam());
+  std::vector<StatePtr> live{dag.root()};
+  auto pick = [&]() { return live[rng.Uniform(live.size())]; };
+  auto writes = [&]() {
+    KeySet ws;
+    const int n = static_cast<int>(rng.Uniform(3));
+    for (int i = 0; i < n; i++) ws.Add("k" + std::to_string(rng.Uniform(6)));
+    return ws;
+  };
+  uint64_t recovered_seq = 1000;
+
+  for (int i = 0; i < 220; i++) {
+    std::lock_guard<std::mutex> guard(dag.Lock());
+    const double op = rng.NextDouble();
+    if (op < 0.35) {
+      // Chain: extend a leaf.
+      std::vector<StatePtr> leaves;
+      for (const StatePtr& s : live) {
+        if (s->children().empty()) leaves.push_back(s);
+      }
+      const StatePtr& leaf = leaves[rng.Uniform(leaves.size())];
+      live.push_back(
+          dag.CreateStateLocked({leaf}, dag.NextLocalGuid(), writes(), false));
+    } else if (op < 0.55) {
+      // Fork: a child of any state.
+      live.push_back(
+          dag.CreateStateLocked({pick()}, dag.NextLocalGuid(), writes(), false));
+    } else if (op < 0.70) {
+      // Merge of 2-4 distinct states.
+      std::vector<StatePtr> parents;
+      const size_t want = 2 + rng.Uniform(3);
+      for (int tries = 0; tries < 10 && parents.size() < want; tries++) {
+        StatePtr p = pick();
+        if (std::find(parents.begin(), parents.end(), p) == parents.end()) {
+          parents.push_back(p);
+        }
+      }
+      if (parents.size() < 2) continue;
+      live.push_back(
+          dag.CreateStateLocked(parents, dag.NextLocalGuid(), writes(), true));
+    } else if (op < 0.78) {
+      // Merge a state with one of its own ancestors.
+      StatePtr s = pick();
+      StatePtr anc = s;
+      const int hops = 1 + static_cast<int>(rng.Uniform(4));
+      for (int h = 0; h < hops && !anc->parents().empty(); h++) {
+        anc = anc->parents()[rng.Uniform(anc->parents().size())];
+      }
+      if (anc == s) continue;
+      live.push_back(
+          dag.CreateStateLocked({s, anc}, dag.NextLocalGuid(), writes(), true));
+    } else if (op < 0.90) {
+      // Splice out a non-root state with a single child, as GC does.
+      std::vector<StatePtr> victims;
+      for (const StatePtr& s : live) {
+        if (!s->parents().empty() && s->children().size() == 1) {
+          victims.push_back(s);
+        }
+      }
+      if (victims.empty()) continue;
+      StatePtr victim = victims[rng.Uniform(victims.size())];
+      StatePtr heir = victim->children()[0];
+      dag.DeleteStateLocked(victim, heir);
+      heir->inherited_writes().Union(victim->write_set());
+      live.erase(std::find(live.begin(), live.end(), victim));
+    } else {
+      // A recovered state under an explicit id, past a gap of ids.
+      const StateId id = dag.max_id() + 1 + rng.Uniform(5);
+      live.push_back(dag.CreateStateWithIdLocked(
+          id, {pick()}, GlobalStateId{9, ++recovered_seq}, writes(), false));
+    }
+  }
+
+  // The invariant the descending-id walk relies on.
+  for (const StatePtr& s : live) {
+    for (const StatePtr& c : s->children()) {
+      EXPECT_LT(s->id(), c->id()) << "edge " << s->id() << "->" << c->id();
+    }
+  }
+
+  for (int trial = 0; trial < 150; trial++) {
+    std::vector<StatePtr> tips;
+    const size_t k = 1 + rng.Uniform(4);
+    for (size_t i = 0; i < k; i++) tips.push_back(pick());
+
+    const StatePtr overall = ReferenceForkPoint(live, tips);
+    ASSERT_NE(overall, nullptr);
+    EXPECT_EQ(dag.FindForkPoint(tips), overall);
+
+    std::vector<StatePtr> expected;
+    if (k == 1) {
+      expected = tips;
+    } else {
+      for (size_t i = 0; i < k; i++) {
+        for (size_t j = i + 1; j < k; j++) {
+          StatePtr f = ReferenceForkPoint(live, {tips[i], tips[j]});
+          if (std::find(expected.begin(), expected.end(), f) ==
+              expected.end()) {
+            expected.push_back(f);
+          }
+        }
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const StatePtr& a, const StatePtr& b) {
+                  return a->id() > b->id();
+                });
+      expected.erase(std::remove(expected.begin(), expected.end(), overall),
+                     expected.end());
+      expected.insert(expected.begin(), overall);
+    }
+    EXPECT_EQ(dag.FindForkPoints(tips), expected) << "trial " << trial;
+
+    EXPECT_EQ(dag.FindConflictWrites(overall, tips).keys(),
+              ReferenceConflicts(overall, tips).keys())
+        << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ForkPointSearch,
+                         ::testing::Values(3, 14, 15, 92, 65, 35, 89, 79));
 
 // ---- counter convergence ------------------------------------------------------------
 

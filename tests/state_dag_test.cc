@@ -21,8 +21,8 @@ StatePtr Commit(StateDag* dag, const StatePtr& parent,
   KeySet ws;
   for (auto& k : writes) ws.Add(k);
   std::lock_guard<std::mutex> guard(dag->Lock());
-  return dag->CreateStateLocked({parent}, dag->NextLocalGuid(), KeySet(),
-                                std::move(ws), false);
+  return dag->CreateStateLocked({parent}, dag->NextLocalGuid(), std::move(ws),
+                                false);
 }
 
 StatePtr Merge(StateDag* dag, const std::vector<StatePtr>& parents,
@@ -30,8 +30,8 @@ StatePtr Merge(StateDag* dag, const std::vector<StatePtr>& parents,
   KeySet ws;
   for (auto& k : writes) ws.Add(k);
   std::lock_guard<std::mutex> guard(dag->Lock());
-  return dag->CreateStateLocked(parents, dag->NextLocalGuid(), KeySet(),
-                                std::move(ws), true);
+  return dag->CreateStateLocked(parents, dag->NextLocalGuid(), std::move(ws),
+                                true);
 }
 
 TEST(ForkPathTest, AddKeepsSortedUnique) {
@@ -66,6 +66,16 @@ TEST(ForkPathTest, UnionMerges) {
   a.Union(b);
   ASSERT_EQ(a.size(), 3u);
   EXPECT_TRUE(b.SubsetOf(a));
+}
+
+TEST(ForkPathTest, StoredAtExactSize) {
+  ForkPath a, b;
+  for (uint32_t i = 0; i < 9; i++) a.Add({i * 2, 1});
+  EXPECT_EQ(a.capacity(), a.size());
+  for (uint32_t i = 0; i < 9; i++) b.Add({i * 3, 1});
+  a.Union(b);
+  EXPECT_EQ(a.size(), 15u);  // 9 + 9 minus {0, 6, 12}
+  EXPECT_EQ(a.capacity(), a.size());
 }
 
 TEST(KeySetTest, IntersectsAndUnion) {
@@ -144,6 +154,40 @@ TEST(StateDagTest, RetroactiveAnnotationCoversSubtree) {
   EXPECT_FALSE(StateDag::DescendantCheck(*s2c, *s3));
   EXPECT_FALSE(StateDag::DescendantCheck(*s3, *s2c));
   EXPECT_TRUE(StateDag::DescendantCheck(*s2, *s2c));
+}
+
+TEST(StateDagTest, ChainSharesOneForkPath) {
+  StateDag dag;
+  StatePtr s1 = Commit(&dag, dag.root());
+  StatePtr s = s1;
+  for (int i = 0; i < 5; i++) {
+    s = Commit(&dag, s);
+    EXPECT_EQ(s->fork_path().get(), s1->fork_path().get());
+  }
+}
+
+TEST(StateDagTest, ForkGivesFirstChildChainOneNewPath) {
+  StateDag dag;
+  StatePtr s1 = Commit(&dag, dag.root());
+  StatePtr a1 = Commit(&dag, s1);
+  StatePtr a2 = Commit(&dag, a1);
+  StatePtr a3 = Commit(&dag, a2);
+  const ForkPath* before = s1->fork_path().get();
+  ASSERT_EQ(a3->fork_path().get(), before);
+
+  StatePtr b = Commit(&dag, s1);  // s1 becomes a fork point
+  // The first child's chain moves to one new object; s1 keeps its own.
+  EXPECT_EQ(s1->fork_path().get(), before);
+  const ForkPath* annotated = a1->fork_path().get();
+  EXPECT_NE(annotated, before);
+  EXPECT_EQ(a2->fork_path().get(), annotated);
+  EXPECT_EQ(a3->fork_path().get(), annotated);
+  EXPECT_NE(b->fork_path().get(), annotated);
+  EXPECT_EQ(annotated->capacity(), annotated->size());
+  // Commits extending the chain keep sharing it.
+  EXPECT_EQ(Commit(&dag, a3)->fork_path().get(), annotated);
+  StatePtr m = Merge(&dag, {a3, b});
+  EXPECT_EQ(m->fork_path()->capacity(), m->fork_path()->size());
 }
 
 TEST(StateDagTest, ThirdChildGetsSlotThree) {
@@ -326,7 +370,7 @@ TEST(StateDagTest, GuidResolution) {
   StatePtr s;
   {
     std::lock_guard<std::mutex> guard(dag.Lock());
-    s = dag.CreateStateLocked({dag.root()}, guid, KeySet(), KeySet(), false);
+    s = dag.CreateStateLocked({dag.root()}, guid, KeySet(), false);
   }
   StatePtr r = dag.ResolveGuid(guid);
   ASSERT_NE(r, nullptr);
@@ -340,7 +384,7 @@ TEST(StateDagTest, RecoveryIdsAdvanceCounter) {
   {
     std::lock_guard<std::mutex> guard(dag.Lock());
     s = dag.CreateStateWithIdLocked(41, {dag.root()}, {0, 41}, KeySet(),
-                                    KeySet(), false);
+                                    false);
   }
   EXPECT_EQ(s->id(), 41u);
   // The next ordinary commit must get a larger id.

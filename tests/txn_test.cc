@@ -116,6 +116,32 @@ TEST_F(TxnTest, SequentialCommitsExtendOneBranch) {
   EXPECT_EQ(store_->stats().branches_created, 0u);
 }
 
+TEST_F(TxnTest, InMemoryStoreKeepsOneCopyOfEachValue) {
+  for (RecordBackend backend : {RecordBackend::kMem, RecordBackend::kTrie}) {
+    TardisOptions options;  // no dir: nothing is persisted
+    options.backend = backend;
+    auto store = TardisStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto session = (*store)->CreateSession();
+    for (int i = 0; i < 10; i++) {
+      auto txn = (*store)->Begin(session.get());
+      ASSERT_TRUE(txn.ok());
+      ASSERT_TRUE((*txn)->Put("k" + std::to_string(i % 3),
+                              "v" + std::to_string(i))
+                      .ok());
+      ASSERT_TRUE((*txn)->Commit().ok());
+    }
+    // The version map holds the only copy; the record store stays empty.
+    EXPECT_EQ((*store)->record_store()->size(), 0u)
+        << RecordBackendName(backend);
+    const StateId tip = session->last_commit()->id();
+    auto own = (*store)->ReadOwnVersion("k0", tip);
+    ASSERT_TRUE(own.ok()) << own.status().ToString();
+    EXPECT_EQ(**own, "v9");
+    EXPECT_TRUE((*store)->ReadOwnVersion("k1", tip).status().IsNotFound());
+  }
+}
+
 TEST_F(TxnTest, UsedTransactionRejectsFurtherOps) {
   auto txn = store_->Begin(session_.get());
   ASSERT_TRUE(txn.ok());
