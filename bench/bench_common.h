@@ -9,10 +9,13 @@
 #ifndef TARDIS_BENCH_BENCH_COMMON_H_
 #define TARDIS_BENCH_BENCH_COMMON_H_
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,12 +63,44 @@ inline const char* BenchBackendName() {
   return RecordBackendName(BenchBackend());
 }
 
+/// A fresh directory for one store, inside a per-process scratch
+/// directory under $TMPDIR that is removed at exit.
+inline std::string FreshBenchDir() {
+  static const std::string root = [] {
+    const char* tmp = getenv("TMPDIR");
+    std::string path =
+        std::string(tmp != nullptr ? tmp : "/tmp") + "/tardis_bench_XXXXXX";
+    if (mkdtemp(path.data()) == nullptr) {
+      perror("mkdtemp");
+      exit(2);
+    }
+    return path;
+  }();
+  [[maybe_unused]] static const bool cleanup =
+      std::atexit([] { std::filesystem::remove_all(root); }) == 0;
+  static std::atomic<int> next{0};
+  return root + "/store" + std::to_string(next++);
+}
+
 /// TardisOptions preconfigured with the run's backend; drivers that build
 /// stores by hand start from this instead of a default-constructed one.
+/// A btree store gets a fresh data directory, since the B+Tree lives on
+/// disk; the other backends stay fully in memory.
 inline TardisOptions BenchStoreOptions() {
-  TardisOptions options;  // in-memory: no directory even for btree
+  TardisOptions options;
   options.backend = BenchBackend();
+  if (options.backend == RecordBackend::kBTree) options.dir = FreshBenchDir();
   return options;
+}
+
+/// Parses a --backend / TARDIS_BENCH_BACKEND value; exits on a bad name.
+inline RecordBackend ParseBenchBackend(const char* source, const char* name) {
+  const std::optional<RecordBackend> parsed = ParseRecordBackend(name);
+  if (!parsed) {
+    fprintf(stderr, "unknown %s%s (want mem|btree|trie)\n", source, name);
+    exit(2);
+  }
+  return *parsed;
 }
 
 /// Parses shared benchmark flags (--seed=N, --backend=mem|btree|trie).
@@ -75,19 +110,13 @@ inline void ParseBenchFlags(int argc, char** argv) {
     BenchSeedRef() = strtoull(env, nullptr, 10);
   }
   if (const char* env = getenv("TARDIS_BENCH_BACKEND")) {
-    BenchBackendRef() = ParseRecordBackend(env);
+    BenchBackendRef() = ParseBenchBackend("TARDIS_BENCH_BACKEND=", env);
   }
   for (int i = 1; i < argc; i++) {
     if (strncmp(argv[i], "--seed=", 7) == 0) {
       BenchSeedRef() = strtoull(argv[i] + 7, nullptr, 10);
     } else if (strncmp(argv[i], "--backend=", 10) == 0) {
-      const RecordBackend parsed = ParseRecordBackend(argv[i] + 10);
-      if (parsed == RecordBackend::kDefault) {
-        fprintf(stderr, "unknown --backend=%s (want mem|btree|trie)\n",
-                argv[i] + 10);
-        exit(2);
-      }
-      BenchBackendRef() = parsed;
+      BenchBackendRef() = ParseBenchBackend("--backend=", argv[i] + 10);
     }
   }
 }

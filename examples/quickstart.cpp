@@ -21,7 +21,8 @@ using namespace tardis;
   } while (0)
 
 int main() {
-  // 1. Open an in-memory TARDiS site (pass options.dir for durability).
+  // 1. Open an in-memory TARDiS site (set options.dir and the kBTree
+  //    backend for durability).
   TardisOptions options;
   auto store_or = TardisStore::Open(options);
   if (!store_or.ok()) {

@@ -7,7 +7,8 @@
 // Usage:
 //   tardisd --site=0 --peers=127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
 //           --client-port=8000 [--gc-mode=optimistic|pessimistic]
-//           [--dir=PATH] [--metrics-port=P] [--workers=N] [--max-queue=N]
+//           [--dir=PATH] [--backend=mem|btree|trie] [--metrics-port=P]
+//           [--workers=N] [--max-queue=N]
 //           [--request-deadline-ms=MS] [--tick-ms=MS] [--heartbeats=0|1]
 //           [--archive-horizon=N] [--partition=N] [--coord-port=P]
 //           [--twopc-resolve-ms=MS] [--slow-ms=MS]
@@ -91,6 +92,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -131,9 +133,9 @@ struct DaemonConfig {
   uint16_t metrics_port = 0;  ///< 0 disables the HTTP metrics endpoint
   GcCoordination gc_mode = GcCoordination::kOptimistic;
   std::string dir;
-  /// Record backend (--backend=mem|btree|trie); kDefault keeps the
-  /// historical choice: btree when --dir is set, mem otherwise.
-  RecordBackend backend = RecordBackend::kDefault;
+  /// Record backend (--backend=mem|btree|trie). Unset picks the
+  /// deployment default: btree when --dir is set, mem otherwise.
+  std::optional<RecordBackend> backend;
   uint32_t workers = 4;
   size_t max_queue = 128;
   uint64_t request_deadline_ms = 1000;
@@ -197,7 +199,7 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
       config->dir = v;
     } else if (const char* v = value("--backend=")) {
       config->backend = ParseRecordBackend(v);
-      if (config->backend == RecordBackend::kDefault) {
+      if (!config->backend) {
         fprintf(stderr, "tardisd: unknown --backend=%s (want mem|btree|trie)\n",
                 v);
         return false;
@@ -229,6 +231,17 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
       fprintf(stderr, "tardisd: unknown flag %s\n", arg.c_str());
       return false;
     }
+  }
+  if (!config->backend) {
+    config->backend =
+        config->dir.empty() ? RecordBackend::kMem : RecordBackend::kBTree;
+  }
+  if (config->dir.empty() != (*config->backend != RecordBackend::kBTree)) {
+    fprintf(stderr, "tardisd: --backend=%s %s\n",
+            RecordBackendName(*config->backend),
+            config->dir.empty() ? "needs --dir"
+                                : "cannot persist records; --dir needs btree");
+    return false;
   }
   return !config->endpoints.empty() && config->site < config->endpoints.size() &&
          config->client_port != 0;
@@ -625,7 +638,7 @@ int RunDaemon(const DaemonConfig& config) {
   TardisOptions store_options;
   store_options.site_id = config.site;
   store_options.dir = config.dir;
-  store_options.backend = config.backend;
+  store_options.backend = *config.backend;
   store_options.metrics_registry = registry;
   auto store = TardisStore::Open(store_options);
   if (!store.ok()) {
@@ -1136,9 +1149,10 @@ int main(int argc, char** argv) {
             "               [--twopc-resolve-ms=MS] [--slow-ms=MS] [--help]\n"
             "--peers is indexed by site id and must name every site,\n"
             "including this one's own replication endpoint.\n"
-            "--backend picks the record storage: mem (default without\n"
-            "--dir), btree (default with --dir), or trie — the fork-native\n"
-            "copy-on-write backend (DESIGN.md section 12).\n"
+            "--backend picks the record storage: btree, the only one that\n"
+            "persists records (default with --dir, and --dir requires it),\n"
+            "or one of the in-memory backends mem (default without --dir)\n"
+            "and trie, a copy-on-write trie (DESIGN.md section 12).\n"
             "--metrics-port serves the metrics registry as Prometheus text\n"
             "over HTTP (0 = disabled); --max-queue bounds the client request\n"
             "queue (requests past the bound are shed with ERR BUSY).\n"

@@ -245,7 +245,6 @@ Status TwoPhaseParticipant::ApplyDecisionLocked(uint64_t txn_id, Pending* p,
   *forked = false;
   if (decision == TwoPhaseDecision::kCommit) {
     TARDIS_FAULT_POINT("twopc.decide.apply");
-    const uint64_t forks_before = store_->stats().branches_created;
     // First-committer-wins on the write sets: a commit that landed on our
     // keys since prepare is a real conflict, and branch-on-conflict means
     // the decide-commit FORKS the DAG at the pre-conflict state instead
@@ -255,6 +254,7 @@ Status TwoPhaseParticipant::ApplyDecisionLocked(uint64_t txn_id, Pending* p,
     Status s;
     if (p->staged) {
       s = p->staged->Commit(SnapshotIsolationEnd());
+      *forked = p->staged->forked();
       p->staged.reset();
     } else {
       // Crash recovery (or staging failed at prepare time): re-apply the
@@ -276,6 +276,7 @@ Status TwoPhaseParticipant::ApplyDecisionLocked(uint64_t txn_id, Pending* p,
         }
         if (s.ok()) {
           s = (*txn)->Commit(SnapshotIsolationEnd());
+          *forked = (*txn)->forked();
         } else {
           (*txn)->Abort();
         }
@@ -287,7 +288,6 @@ Status TwoPhaseParticipant::ApplyDecisionLocked(uint64_t txn_id, Pending* p,
       // the write.
       return s;
     }
-    *forked = store_->stats().branches_created > forks_before;
     if (*forked) forked_commits_->Increment();
   } else {
     if (p->staged) {

@@ -141,10 +141,6 @@ void GarbageCollector::DagCompressionPass(GcStats* stats) {
       dirty_keys_.insert(key);
     }
     dag_->DeleteStateLocked(s, heir);
-    // Pass 2 guaranteed no read pins, so nothing can still be reading
-    // this state's branch. Ignore NotFound: the branch may never have
-    // existed (fast path disabled, or a state recovered from the log).
-    if (branch_store_ != nullptr) branch_store_->Release(s->id());
     victims.push_back(s);
     stats->states_deleted++;
   }

@@ -28,7 +28,6 @@
 #include "core/key_version_map.h"
 #include "core/state_dag.h"
 #include "obs/metrics.h"
-#include "storage/cowtrie/branch_store.h"
 #include "storage/record_store.h"
 #include "util/status.h"
 
@@ -54,13 +53,6 @@ class GarbageCollector {
                    obs::MetricsRegistry* registry = nullptr);
   ~GarbageCollector();
 
-  /// When the store runs a fork-native backend, compressed-away states
-  /// also release their storage branch here (shared trie nodes survive as
-  /// long as any surviving branch references them).
-  void SetBranchStore(BranchStore* branch_store) {
-    branch_store_ = branch_store;
-  }
-
   /// Registers a ceiling: states that are proper ancestors of `ceiling`
   /// become eligible for compression on the next run.
   void PlaceCeiling(const StatePtr& ceiling);
@@ -81,7 +73,6 @@ class GarbageCollector {
   StateDag* const dag_;
   KeyVersionMap* const kvmap_;
   RecordStore* const record_store_;
-  BranchStore* branch_store_ = nullptr;
 
   std::mutex run_mu_;  ///< serializes whole collection cycles
   std::mutex ceilings_mu_;

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "fault/env.h"
@@ -15,13 +16,12 @@ namespace tardis {
 
 /// Record storage backend of a site (DESIGN.md §12).
 enum class RecordBackend {
-  kDefault,  ///< derive from use_btree + dir (backwards compatible)
-  kMem,      ///< std::map in memory (the TARDiS-MDB analogue)
-  kBTree,    ///< disk-backed B+Tree (the TARDiS-BDB analogue); needs a dir
-  kTrie,     ///< copy-on-write trie (fork-native, in-memory)
+  kMem,    ///< std::map in memory (the TARDiS-MDB analogue)
+  kBTree,  ///< disk-backed B+Tree (the TARDiS-BDB analogue); needs a dir
+  kTrie,   ///< copy-on-write trie (in-memory)
 };
 
-/// "mem" / "btree" / "trie" (kDefault resolves before naming).
+/// "mem" / "btree" / "trie".
 inline const char* RecordBackendName(RecordBackend backend) {
   switch (backend) {
     case RecordBackend::kMem:
@@ -30,18 +30,17 @@ inline const char* RecordBackendName(RecordBackend backend) {
       return "btree";
     case RecordBackend::kTrie:
       return "trie";
-    case RecordBackend::kDefault:
-      break;
   }
-  return "default";
+  return "unknown";
 }
 
-/// Parses a backend name; kDefault on unknown input.
-inline RecordBackend ParseRecordBackend(const std::string& name) {
+/// Parses a backend name; nullopt on unknown input.
+inline std::optional<RecordBackend> ParseRecordBackend(
+    const std::string& name) {
   if (name == "mem") return RecordBackend::kMem;
   if (name == "btree") return RecordBackend::kBTree;
   if (name == "trie") return RecordBackend::kTrie;
-  return RecordBackend::kDefault;
+  return std::nullopt;
 }
 
 struct TardisOptions {
@@ -49,18 +48,10 @@ struct TardisOptions {
   /// in-memory and non-durable (handy for tests and benchmarks).
   std::string dir;
 
-  /// Record persistence backend: true selects the disk-backed B+Tree
-  /// (the TARDiS-BDB configuration); false the in-memory store (the
-  /// TARDiS-MDB configuration). Ignored (forced false) when dir is empty.
-  /// Superseded by `backend` when that is not kDefault.
-  bool use_btree = true;
-
-  /// Record backend selection. kDefault keeps the historical use_btree
-  /// semantics; kTrie selects the copy-on-write trie, which additionally
-  /// serves O(1) branch forks and O(diff) 3-way merges to the core when
-  /// the store is fully in-memory (dir empty). kBTree without a dir
-  /// degrades to kMem, mirroring use_btree.
-  RecordBackend backend = RecordBackend::kDefault;
+  /// Record backend. A store with a dir must use kBTree, the only backend
+  /// that persists records; kBTree without a dir is rejected too. Open
+  /// returns InvalidArgument for either mismatch.
+  RecordBackend backend = RecordBackend::kMem;
 
   /// Write the commit log (required for recovery). Needs a non-empty dir.
   bool enable_commit_log = true;
@@ -69,15 +60,8 @@ struct TardisOptions {
   /// kSync fsyncs the commit log on every commit.
   Wal::FlushMode flush_mode = Wal::FlushMode::kAsync;
 
-  /// Buffer pool capacity for the B+Tree backend, in 4 KiB pages
-  /// (per shard when record_shards > 1).
+  /// Buffer pool capacity for the B+Tree backend, in 4 KiB pages.
   size_t cache_pages = 8192;
-
-  /// Number of record-store partitions (§6.4's data-partitioning sketch:
-  /// the State DAG stays collocated with the transaction manager; record
-  /// payloads hash-shard across independent B+Trees, each with its own
-  /// file and lock domain). 1 = unsharded. Requires use_btree and a dir.
-  size_t record_shards = 1;
 
   /// Replication identity of this site.
   uint32_t site_id = 0;

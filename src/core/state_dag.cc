@@ -330,11 +330,6 @@ StatePtr StateDag::FindForkPoint(const std::vector<StatePtr>& states) const {
   if (states.empty()) return nullptr;
   if (states.size() == 1) return states[0];
   std::lock_guard<std::mutex> guard(mu_);
-  return FindForkPointLocked(states);
-}
-
-StatePtr StateDag::FindForkPointLocked(
-    const std::vector<StatePtr>& states) const {
   return ForkPointWalk(states, nullptr);
 }
 

@@ -143,9 +143,6 @@ class StateDag {
   /// from the tips in descending id order, stopping at the answer, so its
   /// cost grows with the branches, not with the history.
   StatePtr FindForkPoint(const std::vector<StatePtr>& states) const;
-  /// As FindForkPoint, for callers already inside the commit critical
-  /// section (e.g. the trie fast path picking a merge base).
-  StatePtr FindForkPointLocked(const std::vector<StatePtr>& states) const;
 
   /// The *structured* set of fork points (Table 2): the deepest common
   /// ancestor of every pair of `states`, deduplicated and ordered deepest

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "storage/btree_record_store.h"
 #include "storage/cowtrie/trie_record_store.h"
-#include "storage/sharded_record_store.h"
 #include "storage/memstore.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -21,29 +20,14 @@ constexpr const char* kCommitLogFile = "commit.log";
 constexpr const char* kCheckpointFile = "checkpoint.log";
 constexpr const char* kCheckpointTmpFile = "checkpoint.tmp";
 constexpr const char* kRecordsFile = "records.db";
-
-/// kDefault keeps the historical use_btree semantics; kBTree without a
-/// dir degrades to kMem exactly as use_btree always has.
-RecordBackend ResolveBackend(const TardisOptions& options) {
-  RecordBackend backend = options.backend;
-  if (backend == RecordBackend::kDefault) {
-    backend =
-        options.use_btree ? RecordBackend::kBTree : RecordBackend::kMem;
-  }
-  if (backend == RecordBackend::kBTree && options.dir.empty()) {
-    backend = RecordBackend::kMem;
-  }
-  return backend;
-}
 }  // namespace
 
 TardisStore::TardisStore(const TardisOptions& options)
     : options_(options),
-      resolved_backend_(ResolveBackend(options)),
-      dag_(options.site_id),
       metrics_(options.metrics_registry
                    ? options.metrics_registry
                    : std::make_shared<obs::MetricsRegistry>()),
+      dag_(options.site_id),
       default_begin_(AncestorBegin()),
       default_end_(SerializabilityEnd()) {
   RegisterMetrics();
@@ -114,44 +98,39 @@ TardisStore::~TardisStore() {
   // The registry may be shared and outlive this site: detach the gauges
   // that capture `this` before the DAG goes away.
   metrics_->DropCallbacks(this);
-  // The trie's destructor drops its own callback gauges, so it must run
-  // while metrics_ (declared later, destroyed earlier) is still alive.
-  record_store_.reset();
-  trie_.reset();
 }
 
 StatusOr<std::unique_ptr<TardisStore>> TardisStore::Open(
     const TardisOptions& options) {
+  // Recovery reloads record values from the record store, so a durable
+  // store needs the one backend that persists them.
+  const bool durable = !options.dir.empty();
+  if (durable != (options.backend == RecordBackend::kBTree)) {
+    return Status::InvalidArgument(
+        std::string("backend ") + RecordBackendName(options.backend) +
+        (durable ? " cannot persist records; a dir needs btree"
+                 : " needs a dir"));
+  }
   std::unique_ptr<TardisStore> store(new TardisStore(options));
 
-  const bool durable = !options.dir.empty();
   fault::Env* env = fault::ResolveEnv(options.env);
-  if (durable) {
-    TARDIS_RETURN_IF_ERROR(env->CreateDir(options.dir));
-  }
-
-  const RecordBackend backend = store->resolved_backend_;
-  if (backend == RecordBackend::kTrie) {
-    // One trie serves both the flat RecordStore keyspace and (below, when
-    // fully in-memory) the per-state branch fast path.
-    store->trie_ = std::make_shared<CowTrie>(
-        store->metrics_.get(),
-        obs::LabelSet{{"site", std::to_string(options.site_id)}});
-    store->record_store_ = std::make_unique<TrieRecordStore>(store->trie_);
-  } else if (durable && backend == RecordBackend::kBTree &&
-             options.record_shards > 1) {
-    auto rs = ShardedRecordStore::Open(options.dir, options.record_shards,
+  switch (options.backend) {
+    case RecordBackend::kBTree: {
+      TARDIS_RETURN_IF_ERROR(env->CreateDir(options.dir));
+      auto rs = BTreeRecordStore::Open(options.dir + "/" + kRecordsFile,
                                        options.cache_pages, env);
-    if (!rs.ok()) return rs.status();
-    store->record_store_ = std::move(*rs);
-  } else if (durable && backend == RecordBackend::kBTree) {
-    auto rs =
-        BTreeRecordStore::Open(options.dir + "/" + kRecordsFile,
-                               options.cache_pages, env);
-    if (!rs.ok()) return rs.status();
-    store->record_store_ = std::move(*rs);
-  } else {
-    store->record_store_ = std::make_unique<MemRecordStore>();
+      if (!rs.ok()) return rs.status();
+      store->record_store_ = std::move(*rs);
+      break;
+    }
+    case RecordBackend::kTrie:
+      store->record_store_ = std::make_unique<TrieRecordStore>(
+          store->metrics_.get(),
+          obs::LabelSet{{"site", std::to_string(options.site_id)}});
+      break;
+    case RecordBackend::kMem:
+      store->record_store_ = std::make_unique<MemRecordStore>();
+      break;
   }
 
   if (durable && options.enable_commit_log) {
@@ -164,25 +143,9 @@ StatusOr<std::unique_ptr<TardisStore>> TardisStore::Open(
   store->gc_ = std::make_unique<GarbageCollector>(
       &store->dag_, &store->kvmap_, store->record_store_.get(),
       store->metrics_.get());
-  if (store->trie_ != nullptr) {
-    store->gc_->SetBranchStore(store->trie_.get());
-  }
 
   if (durable && options.recover_on_open) {
     TARDIS_RETURN_IF_ERROR(store->Recover());
-  }
-
-  // Branch fast path: only for the fully in-memory trie configuration.
-  // With a dir, recovery re-creates states whose record values load
-  // lazily from disk — branch snapshots cannot represent those, so the
-  // durable trie configuration serves records only.
-  if (store->trie_ != nullptr && !durable) {
-    Status s = store->trie_->CreateBranch(store->dag_.root()->id());
-    if (s.ok()) {
-      store->trie_fast_path_.store(true, std::memory_order_relaxed);
-    } else {
-      TARDIS_ERROR("trie root branch: %s", s.ToString().c_str());
-    }
   }
   return store;
 }
@@ -319,12 +282,6 @@ Status TardisStore::TxnGet(Transaction* t, const Slice& key,
   if (t->ctx_.read_states.empty()) {
     return Status::InvalidArgument("transaction has no read state");
   }
-  // Fast path: the branch *is* the visibility set — one O(key) trie walk,
-  // no descendant checks. The read state is pinned, so its branch cannot
-  // be released underneath us.
-  if (trie_fast_path()) {
-    return trie_->Get(t->ctx_.read_states[0]->id(), key, value);
-  }
   auto entry = kvmap_.GetVisible(key, *t->ctx_.read_states[0]);
   if (!entry.ok()) return entry.status();
   return LoadValue(key, *entry, value);
@@ -337,77 +294,9 @@ Status TardisStore::TxnGetForId(Transaction* t, const Slice& key,
     return Status::Unavailable("state " + std::to_string(sid) +
                                " unknown or garbage-collected");
   }
-  if (trie_fast_path()) {
-    return trie_->Get(state->id(), key, value);
-  }
   auto entry = kvmap_.GetVisible(key, *state);
   if (!entry.ok()) return entry.status();
   return LoadValue(key, *entry, value);
-}
-
-// ---- trie fast path ---------------------------------------------------------
-
-void TardisStore::DisableTrieFastPath(const char* what, const Status& s) {
-  if (!trie_fast_path_.exchange(false, std::memory_order_relaxed)) return;
-  // Reads fall back to the key-version map, which is maintained either
-  // way; only the O(1)-fork/O(diff)-merge acceleration is lost.
-  TARDIS_ERROR("trie fast path disabled (%s): %s", what,
-               s.ToString().c_str());
-}
-
-Status TardisStore::TrieCommitLocked(
-    const StatePtr& new_state, const std::vector<StatePtr>& parents,
-    const std::map<std::string, std::shared_ptr<const std::string>>&
-        writes) {
-  const BranchStore::BranchId id = new_state->id();
-  if (parents.size() == 1) {
-    TARDIS_RETURN_IF_ERROR(trie_->Fork(parents[0]->id(), id));
-  } else {
-    // Merge state: fork the first parent's branch, then fold in each
-    // remaining parent with a 3-way merge against the overall fork point.
-    // With monotone state-id tags and no deletes this reproduces the
-    // key-version map's descending-id visibility exactly; the merge
-    // transaction's own writes (the application's conflict resolutions)
-    // land afterwards with the newest tag and override the defaults.
-    StatePtr base = dag_.FindForkPointLocked(parents);
-    if (base == nullptr) {
-      return Status::Corruption("merge parents share no ancestor");
-    }
-    TARDIS_RETURN_IF_ERROR(trie_->Fork(parents[0]->id(), id));
-    for (size_t i = 1; i < parents.size(); i++) {
-      auto merged = trie_->Merge(base->id(), parents[i]->id(), id, id,
-                                 /*resolve=*/nullptr);
-      if (!merged.ok()) return merged.status();
-    }
-  }
-  for (const auto& [key, value] : writes) {
-    TARDIS_RETURN_IF_ERROR(trie_->Put(id, key, value, id));
-  }
-  return Status::OK();
-}
-
-bool TardisStore::TrieConflictWrites(const StatePtr& fork,
-                                     const std::vector<StatePtr>& tips,
-                                     std::vector<std::string>* out) {
-  if (!trie_fast_path()) return false;
-  // A key's tag differs from the fork point's iff some state below the
-  // fork wrote it, so one O(diff) trie diff per tip replaces the DAG
-  // write-set walk.
-  std::map<std::string, int> written_by_branches;
-  for (const StatePtr& tip : tips) {
-    Status s = trie_->Diff(
-        fork->id(), tip->id(),
-        [&written_by_branches](const Slice& key, const BranchStore::Version&,
-                               const BranchStore::Version&) {
-          written_by_branches[key.ToString()]++;
-        });
-    if (!s.ok()) return false;
-  }
-  out->clear();
-  for (const auto& [key, count] : written_by_branches) {
-    if (count >= 2) out->push_back(key);
-  }
-  return true;
 }
 
 // ---- commit -----------------------------------------------------------------
@@ -488,11 +377,6 @@ Status TardisStore::CommitTxn(Transaction* t, const EndConstraintPtr& ec_in) {
       kvmap_.AddVersion(key, new_state, value);
     }
 
-    if (trie_fast_path()) {
-      Status ts = TrieCommitLocked(new_state, parents, t->write_cache_);
-      if (!ts.ok()) DisableTrieFastPath("commit", ts);
-    }
-
     if (commit_log_) {
       CommitLogEntry entry;
       entry.id = new_state->id();
@@ -561,6 +445,7 @@ Status TardisStore::CommitTxn(Transaction* t, const EndConstraintPtr& ec_in) {
   }
 
   const bool was_merge = t->mode() == Transaction::Mode::kMerge;
+  t->forked_ = forked;
   t->Finish();
   commits_total_->Increment();
   if (forked) {
@@ -618,12 +503,6 @@ Status TardisStore::ApplyRemote(const CommitRecord& record) {
     }
     for (const auto& [key, value] : record.writes) {
       kvmap_.AddVersion(key, new_state, value);
-    }
-    if (trie_fast_path()) {
-      const std::map<std::string, std::shared_ptr<const std::string>>
-          write_map(record.writes.begin(), record.writes.end());
-      Status ts = TrieCommitLocked(new_state, parents, write_map);
-      if (!ts.ok()) DisableTrieFastPath("apply_remote", ts);
     }
     if (commit_log_) {
       CommitLogEntry entry;

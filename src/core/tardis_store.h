@@ -38,7 +38,6 @@
 #include "core/state_dag.h"
 #include "core/transaction.h"
 #include "obs/metrics.h"
-#include "storage/cowtrie/cow_trie.h"
 #include "storage/record_store.h"
 #include "util/status.h"
 
@@ -160,19 +159,9 @@ class TardisStore {
   KeyVersionMap* kvmap() { return &kvmap_; }
   GarbageCollector* gc() { return gc_.get(); }
   RecordStore* record_store() { return record_store_.get(); }
-  /// The fork-native branch store, or null when the backend is not the
-  /// trie (DESIGN.md §12).
-  BranchStore* branch_store() { return trie_.get(); }
-  /// The record backend this store resolved at Open ("mem", "btree",
-  /// "trie").
+  /// The record backend of this store ("mem", "btree", "trie").
   const char* backend_name() const {
-    return RecordBackendName(resolved_backend_);
-  }
-  /// True while per-state reads and merge construction route through the
-  /// trie's branches instead of the key-version map (trie backend, fully
-  /// in-memory store, no fast-path error so far).
-  bool trie_fast_path() const {
-    return trie_fast_path_.load(std::memory_order_relaxed);
+    return RecordBackendName(options_.backend);
   }
   const TardisOptions& options() const { return options_; }
   /// The registry holding every metric of this site (txn counters, DAG
@@ -214,39 +203,19 @@ class TardisStore {
   void PersistRecord(const std::string& key, StateId sid,
                      const std::string& value);
 
-  /// Builds the trie branch of a freshly created state: fork from a
-  /// single parent, or a fold of 3-way merges for merge states, then the
-  /// transaction's writes tagged with the new state id. Caller holds the
-  /// commit lock. Non-OK permanently disables the fast path (reads fall
-  /// back to the key-version map, which is maintained regardless).
-  Status TrieCommitLocked(
-      const StatePtr& new_state, const std::vector<StatePtr>& parents,
-      const std::map<std::string, std::shared_ptr<const std::string>>&
-          writes);
-  void DisableTrieFastPath(const char* what, const Status& s);
-  /// Trie fast path of Table 2 findConflictWrites: one O(diff) trie diff
-  /// per tip against the fork point instead of a DAG walk. Returns false
-  /// (fall back to the DAG) when the fast path is off or a branch is
-  /// missing.
-  bool TrieConflictWrites(const StatePtr& fork,
-                          const std::vector<StatePtr>& tips,
-                          std::vector<std::string>* out);
-
   TardisOptions options_;
-  RecordBackend resolved_backend_ = RecordBackend::kMem;
+  /// Lock-free registry metrics; the commit hot path increments counters
+  /// without any mutex. Declared before everything that registers in it,
+  /// so it is destroyed after them.
+  std::shared_ptr<obs::MetricsRegistry> metrics_;
   StateDag dag_;
   KeyVersionMap kvmap_;
-  std::shared_ptr<CowTrie> trie_;  // null unless backend is kTrie
-  std::atomic<bool> trie_fast_path_{false};
   std::unique_ptr<RecordStore> record_store_;
   std::unique_ptr<CommitLog> commit_log_;
   std::unique_ptr<GarbageCollector> gc_;
   SessionDedup session_dedup_;
   std::function<void(const CommitRecord&)> commit_cb_;
 
-  /// Lock-free registry metrics; the commit hot path increments counters
-  /// without any mutex (the StoreStats mutex this replaced is gone).
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* commits_total_ = nullptr;
   obs::Counter* aborts_total_ = nullptr;
   obs::Counter* read_only_commits_total_ = nullptr;

@@ -92,10 +92,6 @@ StatusOr<std::vector<std::string>> Transaction::FindConflictWrites(
   if (!resolved.ok()) return resolved.status();
   StatePtr fork = store_->dag()->FindForkPoint(*resolved);
   if (fork == nullptr) return Status::NotFound("no common ancestor");
-  // Fork-native backends answer this with one O(diff) trie diff per
-  // branch; otherwise walk the DAG write sets.
-  std::vector<std::string> fast;
-  if (store_->TrieConflictWrites(fork, *resolved, &fast)) return fast;
   KeySet conflicts = store_->dag()->FindConflictWrites(fork, *resolved);
   return conflicts.keys();
 }

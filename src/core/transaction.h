@@ -84,6 +84,10 @@ class Transaction {
   uint64_t session_tag_id() const { return session_tag_id_; }
   uint64_t session_tag_seq() const { return session_tag_seq_; }
 
+  /// True once Commit succeeded and the new state forked the DAG: some
+  /// parent it attached to already had a child.
+  bool forked() const { return forked_; }
+
   const TxnContext& context() const { return ctx_; }
 
  private:
@@ -107,6 +111,7 @@ class Transaction {
   std::map<std::string, std::shared_ptr<const std::string>> write_cache_;
   uint64_t session_tag_id_ = 0;
   uint64_t session_tag_seq_ = 0;
+  bool forked_ = false;
   bool active_ = true;
 };
 

@@ -1,11 +1,9 @@
 // TrieRecordStore: RecordStore adapter over a CowTrie (DESIGN.md §12).
 //
-// The flat RecordStore keyspace lives on one reserved branch of the trie
-// (kFlatBranch, outside the state-id space the core uses for per-branch
-// data). This is what lets the trie slot in as a third backend next to
-// memstore/btree: the core's encoded record versions and the recovery
-// id-floor scan (ForEachKey) work unchanged, while the same trie instance
-// can serve BranchStore fast paths for fork/merge.
+// The flat RecordStore keyspace is one branch of a trie this store owns.
+// The core's encoded record versions and the recovery id-floor scan
+// (ForEachKey) work on it unchanged, which is what lets the trie slot in
+// as a third backend next to memstore/btree.
 
 #ifndef TARDIS_STORAGE_COWTRIE_TRIE_RECORD_STORE_H_
 #define TARDIS_STORAGE_COWTRIE_TRIE_RECORD_STORE_H_
@@ -13,7 +11,9 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "obs/metrics.h"
 #include "storage/cowtrie/cow_trie.h"
 #include "storage/record_store.h"
 
@@ -21,51 +21,43 @@ namespace tardis {
 
 class TrieRecordStore : public RecordStore {
  public:
-  /// Branch id reserved for the flat RecordStore keyspace. State ids are
-  /// small monotone integers, so the top of the id space is safe.
-  static constexpr BranchStore::BranchId kFlatBranch = ~0ull;
+  /// The branch holding the flat keyspace.
+  static constexpr BranchStore::BranchId kFlatBranch = 0;
 
-  /// Standalone store owning its trie (conformance tests, benches).
-  TrieRecordStore() : TrieRecordStore(std::make_shared<CowTrie>()) {}
-
-  /// Adapter over a shared trie (the core's configuration: one CowTrie
-  /// serving both the flat keyspace and the per-state branches).
-  explicit TrieRecordStore(std::shared_ptr<CowTrie> trie)
-      : trie_(std::move(trie)) {
-    if (!trie_->HasBranch(kFlatBranch)) {
-      trie_->CreateBranch(kFlatBranch);
-    }
+  /// `registry` (optional) receives the trie metric family under `labels`.
+  explicit TrieRecordStore(obs::MetricsRegistry* registry = nullptr,
+                           obs::LabelSet labels = {})
+      : trie_(registry, std::move(labels)) {
+    trie_.CreateBranch(kFlatBranch);
   }
 
   Status Put(const Slice& key, const Slice& value) override {
-    return trie_->Put(kFlatBranch, key,
-                      std::make_shared<const std::string>(value.ToString()),
-                      tag_.fetch_add(1, std::memory_order_relaxed));
+    return trie_.Put(kFlatBranch, key,
+                     std::make_shared<const std::string>(value.ToString()),
+                     tag_.fetch_add(1, std::memory_order_relaxed));
   }
 
   Status Get(const Slice& key, std::string* value) override {
-    return trie_->Get(kFlatBranch, key, value);
+    return trie_.Get(kFlatBranch, key, value);
   }
 
   Status Delete(const Slice& key) override {
-    return trie_->Delete(kFlatBranch, key);
+    return trie_.Delete(kFlatBranch, key);
   }
 
   Status Sync() override { return Status::OK(); }
 
-  uint64_t size() const override { return trie_->BranchSize(kFlatBranch); }
+  uint64_t size() const override { return trie_.BranchSize(kFlatBranch); }
 
   Status ForEachKey(
       const std::function<Status(const Slice& key)>& fn) override {
-    return trie_->ForEach(
+    return trie_.ForEach(
         kFlatBranch,
         [&fn](const Slice& key, const std::string&) { return fn(key); });
   }
 
-  CowTrie* trie() { return trie_.get(); }
-
  private:
-  std::shared_ptr<CowTrie> trie_;
+  CowTrie trie_;
   std::atomic<uint64_t> tag_{1};
 };
 

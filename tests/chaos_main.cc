@@ -152,7 +152,7 @@ bool Schedule::OpenSite(uint32_t i) {
   Site& s = sites_[i];
   TardisOptions o;
   o.dir = s.dir;
-  o.use_btree = true;
+  o.backend = RecordBackend::kBTree;
   o.enable_commit_log = true;
   o.flush_mode = Wal::FlushMode::kAsync;
   o.cache_pages = 128;
@@ -1229,6 +1229,7 @@ bool RunRetrySchedule(uint64_t seed, bool verbose) {
   {
     TardisOptions o;
     o.dir = base;
+    o.backend = RecordBackend::kBTree;
     o.flush_mode = Wal::FlushMode::kSync;
     auto store_or = TardisStore::Open(o);
     if (!store_or.ok()) return fail("durable store failed to open");
@@ -1278,6 +1279,7 @@ bool RunRetrySchedule(uint64_t seed, bool verbose) {
   {
     TardisOptions o;
     o.dir = base;
+    o.backend = RecordBackend::kBTree;
     o.flush_mode = Wal::FlushMode::kSync;
     auto store_or = TardisStore::Open(o);
     if (!store_or.ok()) return fail("store failed to reopen after crash");

@@ -30,6 +30,7 @@ class AutoCheckpointTest : public ::testing::Test {
 TEST_F(AutoCheckpointTest, LogStaysBounded) {
   TardisOptions options;
   options.dir = dir_;
+  options.backend = RecordBackend::kBTree;
   options.checkpoint_log_bytes = 4096;  // tiny bound: checkpoint often
   auto store = TardisStore::Open(options);
   ASSERT_TRUE(store.ok());
@@ -52,6 +53,7 @@ TEST_F(AutoCheckpointTest, RecoveryAfterAutoCheckpoint) {
   {
     TardisOptions options;
     options.dir = dir_;
+    options.backend = RecordBackend::kBTree;
     options.checkpoint_log_bytes = 2048;
     options.flush_mode = Wal::FlushMode::kSync;
     auto store = TardisStore::Open(options);
@@ -68,6 +70,7 @@ TEST_F(AutoCheckpointTest, RecoveryAfterAutoCheckpoint) {
   }
   TardisOptions options;
   options.dir = dir_;
+  options.backend = RecordBackend::kBTree;
   auto store = TardisStore::Open(options);
   ASSERT_TRUE(store.ok());
   auto session = (*store)->CreateSession();
@@ -86,6 +89,7 @@ TEST_F(AutoCheckpointTest, RecoveryAfterAutoCheckpoint) {
 TEST_F(AutoCheckpointTest, DisabledByDefault) {
   TardisOptions options;
   options.dir = dir_;
+  options.backend = RecordBackend::kBTree;
   auto store = TardisStore::Open(options);
   ASSERT_TRUE(store.ok());
   auto session = (*store)->CreateSession();

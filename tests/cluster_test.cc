@@ -318,6 +318,49 @@ TEST_F(TwoPcTest, ForkOnConflictInsteadOfAbort) {
   EXPECT_EQ(store_->stats().branches_created, forks_before + 1);
 }
 
+// The fork report describes the 2PC's own commit only. Here a commit
+// callback (standing in for a client commit or a gossiped ApplyRemote
+// that lands meanwhile) makes an unrelated forking commit on the same
+// site right after the 2PC commit, which itself attaches to a leaf.
+TEST_F(TwoPcTest, ForkReportIgnoresOtherForkingCommits) {
+  CommitLocal("x", "0");
+  ReplMessage ack;
+  ASSERT_TRUE(
+      participant_->HandlePrepare(MakePrepare(12, "k", "twopc"), &ack).ok());
+
+  // Two local writers read x; the second to commit forks.
+  auto s1 = store_->CreateSession();
+  auto s2 = store_->CreateSession();
+  auto t1 = store_->Begin(s1.get());
+  auto t2 = store_->Begin(s2.get());
+  ASSERT_TRUE(t1.ok() && t2.ok());
+  std::string v;
+  ASSERT_TRUE((*t1)->Get("x", &v).ok());
+  ASSERT_TRUE((*t2)->Get("x", &v).ok());
+  ASSERT_TRUE((*t1)->Put("x", "1").ok());
+  ASSERT_TRUE((*t2)->Put("x", "2").ok());
+  bool armed = true;
+  store_->SetCommitCallback([&](const CommitRecord&) {
+    if (!armed) return;
+    armed = false;
+    EXPECT_TRUE((*t1)->Commit().ok());
+    EXPECT_TRUE((*t2)->Commit().ok());
+    EXPECT_TRUE((*t2)->forked());
+  });
+
+  const uint64_t forks_before = store_->stats().branches_created;
+  ASSERT_TRUE(participant_
+                  ->HandleDecide(MakeDecide(12, TwoPhaseDecision::kCommit),
+                                 &ack)
+                  .ok());
+  store_->SetCommitCallback(nullptr);
+  EXPECT_FALSE(armed);
+  EXPECT_EQ(store_->stats().branches_created, forks_before + 1);
+  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kCommit));
+  EXPECT_FALSE(ack.forked);
+  EXPECT_EQ(Read("k"), "twopc");
+}
+
 TEST_F(TwoPcTest, RecoveryBringsBackInDoubtPrepares) {
   ReplMessage ack;
   ASSERT_TRUE(
@@ -340,6 +383,7 @@ TEST_F(TwoPcTest, RecoveryBringsBackInDoubtPrepares) {
                   ->HandleDecide(MakeDecide(20, TwoPhaseDecision::kCommit),
                                  &ack)
                   .ok());
+  EXPECT_FALSE(ack.forked);
   EXPECT_EQ(Read("r"), "v20");
 }
 

@@ -1,8 +1,6 @@
 // Fork-native storage tests (DESIGN.md §12): the CowTrie BranchStore —
 // path-copying writes, O(1) fork with structural sharing, tag-based diff,
-// and 3-way merge — plus its integration with the TardisStore fast path
-// (per-branch reads, trie-diff conflict detection, GC branch release) and
-// the existing application merge policies on top of it.
+// and 3-way merge.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "apps/retwis/retwis.h"
-#include "apps/retwis/retwis_merge.h"
-#include "baseline/tardis_txkv.h"
-#include "core/tardis_store.h"
 #include "storage/cowtrie/cow_trie.h"
 #include "util/random.h"
 
@@ -459,255 +453,6 @@ TEST(CowTrieConcurrency, ReadersNeverBlockOrTearDuringPathCopying) {
   stop.store(true, std::memory_order_release);
   for (std::thread& th : readers) th.join();
   EXPECT_EQ(errors.load(), 0);
-}
-
-// ---- TardisStore integration: the trie fast path ---------------------------
-
-TEST(TrieStoreIntegration, BackendSelectionAndIntrospection) {
-  TardisOptions mem;
-  auto mem_store = TardisStore::Open(mem);
-  ASSERT_TRUE(mem_store.ok());
-  EXPECT_STREQ((*mem_store)->backend_name(), "mem");
-  EXPECT_EQ((*mem_store)->branch_store(), nullptr);
-  EXPECT_FALSE((*mem_store)->trie_fast_path());
-
-  TardisOptions trie;
-  trie.backend = RecordBackend::kTrie;
-  auto trie_store = TardisStore::Open(trie);
-  ASSERT_TRUE(trie_store.ok());
-  EXPECT_STREQ((*trie_store)->backend_name(), "trie");
-  ASSERT_NE((*trie_store)->branch_store(), nullptr);
-  EXPECT_STREQ((*trie_store)->branch_store()->name(), "trie");
-  EXPECT_TRUE((*trie_store)->trie_fast_path());
-}
-
-// Runs the same scripted fork/merge workload on a mem-backed and a
-// trie-backed store and requires identical reads everywhere: the trie fast
-// path must be observationally equivalent to the key-version map.
-TEST(TrieStoreIntegration, TrieFastPathMatchesMemBackend) {
-  TardisOptions mem_opts;
-  TardisOptions trie_opts;
-  trie_opts.backend = RecordBackend::kTrie;
-
-  auto run = [](const TardisOptions& opts) {
-    auto store = TardisStore::Open(opts);
-    EXPECT_TRUE(store.ok());
-    Random rng(7);
-    constexpr int kSessions = 3;
-    std::vector<std::unique_ptr<ClientSession>> sessions;
-    for (int i = 0; i < kSessions; i++) {
-      sessions.push_back((*store)->CreateSession());
-    }
-    auto merger = (*store)->CreateSession();
-    for (int round = 0; round < 120; round++) {
-      if (rng.Bernoulli(0.15)) {
-        while ((*store)->dag()->Leaves().size() > 1) {
-          auto m = (*store)->BeginMerge(merger.get());
-          EXPECT_TRUE(m.ok());
-          auto forks = (*m)->FindForkPoints((*m)->parents());
-          EXPECT_TRUE(forks.ok());
-          auto conflicts = (*m)->FindConflictWrites((*m)->parents());
-          EXPECT_TRUE(conflicts.ok());
-          for (const std::string& key : *conflicts) {
-            // Deterministic resolution: lexicographically-largest branch
-            // value wins, so both backends converge identically.
-            std::string best;
-            for (StateId p : (*m)->parents()) {
-              std::string v;
-              if ((*m)->GetForId(key, p, &v).ok() && v > best) best = v;
-            }
-            EXPECT_TRUE((*m)->Put(key, best).ok());
-          }
-          EXPECT_TRUE((*m)->Commit().ok());
-        }
-      } else {
-        auto& session = sessions[rng.Uniform(kSessions)];
-        auto txn = (*store)->Begin(session.get());
-        EXPECT_TRUE(txn.ok());
-        const std::string key = "k" + std::to_string(rng.Uniform(12));
-        std::string v;
-        (*txn)->Get(key, &v);  // NotFound is fine
-        EXPECT_TRUE(
-            (*txn)->Put(key, v + "." + std::to_string(round)).ok());
-        EXPECT_TRUE((*txn)->Commit().ok());
-      }
-    }
-    // Final converged read of the whole keyspace.
-    while ((*store)->dag()->Leaves().size() > 1) {
-      auto m = (*store)->BeginMerge(merger.get());
-      EXPECT_TRUE(m.ok());
-      EXPECT_TRUE((*m)->Commit().ok());
-    }
-    std::map<std::string, std::string> out;
-    auto txn = (*store)->Begin(merger.get());
-    EXPECT_TRUE(txn.ok());
-    for (int i = 0; i < 12; i++) {
-      const std::string key = "k" + std::to_string(i);
-      std::string v;
-      if ((*txn)->Get(key, &v).ok()) out[key] = v;
-    }
-    (*txn)->Abort();
-    return out;
-  };
-
-  const auto mem_result = run(mem_opts);
-  const auto trie_result = run(trie_opts);
-  EXPECT_EQ(mem_result, trie_result);
-  EXPECT_FALSE(mem_result.empty());
-}
-
-// Acceptance scenario: sibling branches write the same key; the conflict
-// surfaces through FindConflictWrites (served by the trie's O(diff) Diff on
-// this backend) and the application's merge policy resolves it.
-TEST(TrieStoreIntegration, ConflictSurfacesToApplicationMergePolicy) {
-  TardisOptions options;
-  options.backend = RecordBackend::kTrie;
-  auto store = TardisStore::Open(options);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->trie_fast_path());
-
-  auto seeder = (*store)->CreateSession();
-  {
-    auto t = (*store)->Begin(seeder.get());
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE((*t)->Put("cnt", "10").ok());
-    ASSERT_TRUE((*t)->Put("untouched", "u").ok());
-    ASSERT_TRUE((*t)->Commit().ok());
-  }
-
-  // Two sessions read cnt=10, then both write it: branch-on-conflict forks.
-  auto s1 = (*store)->CreateSession();
-  auto s2 = (*store)->CreateSession();
-  auto t1 = (*store)->Begin(s1.get());
-  auto t2 = (*store)->Begin(s2.get());
-  ASSERT_TRUE(t1.ok() && t2.ok());
-  std::string v;
-  ASSERT_TRUE((*t1)->Get("cnt", &v).ok());
-  ASSERT_TRUE((*t2)->Get("cnt", &v).ok());
-  ASSERT_TRUE((*t1)->Put("cnt", "13").ok());  // +3
-  ASSERT_TRUE((*t2)->Put("cnt", "15").ok());  // +5
-  ASSERT_TRUE((*t1)->Commit().ok());
-  ASSERT_TRUE((*t2)->Commit().ok());
-  ASSERT_EQ((*store)->dag()->Leaves().size(), 2u);
-
-  // Application merge policy (the Table 2 pattern): the conflict set must
-  // contain exactly the doubly-written key, and a counter-style resolver
-  // folds the per-branch deltas over the fork-point value.
-  auto merger = (*store)->CreateSession();
-  auto m = (*store)->BeginMerge(merger.get());
-  ASSERT_TRUE(m.ok());
-  auto parents = (*m)->parents();
-  ASSERT_EQ(parents.size(), 2u);
-  auto forks = (*m)->FindForkPoints(parents);
-  ASSERT_TRUE(forks.ok());
-  auto conflicts = (*m)->FindConflictWrites(parents);
-  ASSERT_TRUE(conflicts.ok());
-  EXPECT_EQ(*conflicts, std::vector<std::string>{"cnt"});
-
-  auto value_at = [&](StateId sid) {
-    std::string raw;
-    EXPECT_TRUE((*m)->GetForId("cnt", sid, &raw).ok());
-    return std::stoll(raw);
-  };
-  int64_t result = value_at((*forks)[0]);
-  for (StateId p : parents) result += value_at(p) - value_at((*forks)[0]);
-  ASSERT_TRUE((*m)->Put("cnt", std::to_string(result)).ok());
-  ASSERT_TRUE((*m)->Commit().ok());
-
-  auto reader = (*store)->CreateSession();
-  auto t = (*store)->Begin(reader.get());
-  ASSERT_TRUE(t.ok());
-  ASSERT_TRUE((*t)->Get("cnt", &v).ok());
-  EXPECT_EQ(v, "18");  // 10 + 3 + 5
-  ASSERT_TRUE((*t)->Get("untouched", &v).ok());
-  EXPECT_EQ(v, "u");
-  (*t)->Abort();
-  EXPECT_TRUE((*store)->trie_fast_path());
-}
-
-// The existing Retwis conflict resolver (an unmodified application merge
-// policy) runs on the trie backend and reconciles forked timelines.
-TEST(TrieStoreIntegration, RetwisMergerResolvesForkedTimelinesOnTrie) {
-  TardisOptions options;
-  options.backend = RecordBackend::kTrie;
-  auto inner = TardisStore::Open(options);
-  ASSERT_TRUE(inner.ok());
-  TardisStore* ts = inner->get();
-  ASSERT_TRUE(ts->trie_fast_path());
-  TardisTxKv store(ts);
-  retwis::Retwis app(&store);
-  auto seed = app.NewClient();
-  ASSERT_TRUE(app.CreateAccount(seed.get(), 1).ok());
-  ASSERT_TRUE(app.PostTweet(seed.get(), 1, "base").ok());
-
-  // Fork the timeline key: two raw transactions read the same snapshot
-  // and both rewrite it.
-  auto sa = ts->CreateSession();
-  auto sb = ts->CreateSession();
-  auto ta = ts->Begin(sa.get());
-  auto tb = ts->Begin(sb.get());
-  ASSERT_TRUE(ta.ok() && tb.ok());
-  std::string raw;
-  ASSERT_TRUE((*ta)->Get(retwis::Retwis::TimelineKey(1), &raw).ok());
-  auto la = retwis::Retwis::DecodeTimeline(raw);
-  la.insert(la.begin(), retwis::Post{la[0].timestamp_us + 100, 1001, 1});
-  ASSERT_TRUE((*ta)->Put(retwis::Retwis::TimelineKey(1),
-                         retwis::Retwis::EncodeTimeline(la))
-                  .ok());
-  ASSERT_TRUE((*tb)->Get(retwis::Retwis::TimelineKey(1), &raw).ok());
-  auto lb = retwis::Retwis::DecodeTimeline(raw);
-  lb.insert(lb.begin(), retwis::Post{lb[0].timestamp_us + 200, 1002, 1});
-  ASSERT_TRUE((*tb)->Put(retwis::Retwis::TimelineKey(1),
-                         retwis::Retwis::EncodeTimeline(lb))
-                  .ok());
-  ASSERT_TRUE((*ta)->Commit().ok());
-  ASSERT_TRUE((*tb)->Commit().ok());
-  ASSERT_EQ(ts->dag()->Leaves().size(), 2u);
-
-  retwis::RetwisMerger merger(ts);
-  ASSERT_TRUE(merger.MergeOnce().ok());
-  EXPECT_EQ(ts->dag()->Leaves().size(), 1u);
-
-  auto cc = app.NewClient();
-  auto tl = app.ReadOwnTimeline(cc.get(), 1);
-  ASSERT_TRUE(tl.ok());
-  ASSERT_EQ(tl->size(), 3u);  // base + both branch posts, order preserved
-  EXPECT_EQ((*tl)[0].post_id, 1002u);
-  EXPECT_EQ((*tl)[1].post_id, 1001u);
-  EXPECT_TRUE(ts->trie_fast_path());
-}
-
-TEST(TrieStoreIntegration, GcReleasesCompressedBranches) {
-  TardisOptions options;
-  options.backend = RecordBackend::kTrie;
-  auto store = TardisStore::Open(options);
-  ASSERT_TRUE(store.ok());
-  CowTrie* trie = static_cast<CowTrie*>((*store)->branch_store());
-  ASSERT_NE(trie, nullptr);
-
-  auto session = (*store)->CreateSession();
-  for (int i = 0; i < 20; i++) {
-    auto t = (*store)->Begin(session.get());
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE((*t)->Put("k" + std::to_string(i % 4), "v" +
-                          std::to_string(i)).ok());
-    ASSERT_TRUE((*t)->Commit().ok());
-  }
-  const size_t branches_before = trie->branch_count();
-  (*store)->PlaceCeiling(session.get());
-  GcStats stats = (*store)->RunGarbageCollection();
-  EXPECT_GT(stats.states_deleted, 0u);
-  // DAG compression released the spliced-away states' trie branches.
-  EXPECT_LT(trie->branch_count(), branches_before);
-
-  // Reads (served by the trie fast path) survive compression.
-  auto t = (*store)->Begin(session.get());
-  ASSERT_TRUE(t.ok());
-  std::string v;
-  ASSERT_TRUE((*t)->Get("k3", &v).ok());
-  EXPECT_EQ(v, "v19");
-  (*t)->Abort();
-  EXPECT_TRUE((*store)->trie_fast_path());
 }
 
 }  // namespace

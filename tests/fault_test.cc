@@ -311,6 +311,7 @@ TEST_F(FaultTest, CommitLogFlippedByteStopsReplayAtCorruption) {
 TEST_F(FaultTest, StoreRecoversFromTornCommitLog) {
   TardisOptions options;
   options.dir = path_;
+  options.backend = RecordBackend::kBTree;
   options.flush_mode = Wal::FlushMode::kSync;
   std::vector<std::string> committed;
   {
@@ -351,6 +352,7 @@ TEST_F(FaultTest, StoreRecoversFromTornCommitLog) {
 TEST_F(FaultTest, DegradedStoreRefusesFlushAndCheckpoint) {
   TardisOptions options;
   options.dir = path_;
+  options.backend = RecordBackend::kBTree;
   options.flush_mode = Wal::FlushMode::kAsync;
   auto store = TardisStore::Open(options);
   ASSERT_TRUE(store.ok());

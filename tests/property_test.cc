@@ -566,6 +566,7 @@ TEST_P(RecoveryEquivalence, CommittedStateSurvivesReopen) {
   {
     TardisOptions options;
     options.dir = dir;
+    options.backend = RecordBackend::kBTree;
     options.flush_mode = Wal::FlushMode::kSync;
     auto store = TardisStore::Open(options);
     ASSERT_TRUE(store.ok());
@@ -593,6 +594,7 @@ TEST_P(RecoveryEquivalence, CommittedStateSurvivesReopen) {
 
   TardisOptions options;
   options.dir = dir;
+  options.backend = RecordBackend::kBTree;
   auto store = TardisStore::Open(options);
   ASSERT_TRUE(store.ok());
   auto session = (*store)->CreateSession();

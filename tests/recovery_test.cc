@@ -25,10 +25,10 @@ class RecoveryTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::unique_ptr<TardisStore> OpenStore(bool use_btree = true) {
+  std::unique_ptr<TardisStore> OpenStore() {
     TardisOptions options;
     options.dir = dir_;
-    options.use_btree = use_btree;
+    options.backend = RecordBackend::kBTree;
     options.flush_mode = Wal::FlushMode::kSync;
     auto store = TardisStore::Open(options);
     EXPECT_TRUE(store.ok()) << store.status().ToString();
@@ -172,6 +172,7 @@ TEST_F(RecoveryTest, PartiallyPersistedTxnDiscarded) {
   {
     TardisOptions options;
     options.dir = dir_;
+    options.backend = RecordBackend::kBTree;
     options.recover_on_open = false;
     options.enable_commit_log = false;
     auto store = TardisStore::Open(options);
@@ -246,20 +247,21 @@ TEST_F(RecoveryTest, CheckpointAfterGcKeepsCompressedDag) {
   EXPECT_EQ(MustGet(store.get(), session.get(), "k"), "29");
 }
 
-TEST_F(RecoveryTest, MemBackendRecoversViaLogOnly) {
-  // use_btree=false persists nothing for records in-memory... the commit
-  // log alone cannot restore values, so this configuration persists
-  // records in the in-memory store only for the process lifetime. What
-  // must still work: the DAG structure replays and missing records make
-  // recovery discard the suffix cleanly.
-  {
-    auto store = OpenStore(/*use_btree=*/false);
-    auto session = store->CreateSession();
-    PutCommit(store.get(), session.get(), "k", "v");
+TEST_F(RecoveryTest, DirRequiresBTreeBackend) {
+  // Recovery reloads values from the record store, and only the B+Tree
+  // keeps them across a restart. A mem or trie store with a dir would
+  // come back with its states but without their values, so Open refuses
+  // it; a B+Tree without a dir has nowhere to live.
+  for (RecordBackend backend : {RecordBackend::kMem, RecordBackend::kTrie}) {
+    TardisOptions options;
+    options.dir = dir_;
+    options.backend = backend;
+    EXPECT_TRUE(TardisStore::Open(options).status().IsInvalidArgument())
+        << RecordBackendName(backend);
   }
-  auto store = OpenStore(/*use_btree=*/false);
-  // Records were never durable: the persistence check discards the txn.
-  EXPECT_EQ(store->dag()->state_count(), 1u);
+  TardisOptions options;
+  options.backend = RecordBackend::kBTree;
+  EXPECT_TRUE(TardisStore::Open(options).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -281,6 +281,7 @@ class SessionStoreTest : public ::testing::Test {
   std::unique_ptr<TardisStore> OpenStore() {
     TardisOptions options;
     options.dir = dir_;
+    options.backend = RecordBackend::kBTree;
     options.flush_mode = Wal::FlushMode::kSync;
     auto store = TardisStore::Open(options);
     EXPECT_TRUE(store.ok()) << store.status().ToString();

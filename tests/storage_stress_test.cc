@@ -183,7 +183,7 @@ TEST(TardisDiskBacked, SmallCacheEndToEnd) {
   const std::string dir = FreshDir("tardisdisk");
   TardisOptions options;
   options.dir = dir;
-  options.use_btree = true;
+  options.backend = RecordBackend::kBTree;
   options.cache_pages = 16;
   auto store = TardisStore::Open(options);
   ASSERT_TRUE(store.ok());

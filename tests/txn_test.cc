@@ -4,11 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/tardis_store.h"
+#include "util/random.h"
 
 namespace tardis {
 namespace {
@@ -499,6 +506,142 @@ TEST_F(TxnTest, ConcurrentWritersAllCommitViaBranching) {
   EXPECT_EQ(store_->stats().commits, static_cast<uint64_t>(kThreads * kTxns));
   EXPECT_EQ(store_->dag()->state_count(),
             static_cast<size_t>(kThreads * kTxns + 1));
+}
+
+// ---- backends ----------------------------------------------------------------
+
+constexpr int kWorkloadKeys = 12;
+
+// Reads every workload key at the tip of a single-leaf DAG.
+std::map<std::string, std::string> ReadAllKeys(TardisStore* store) {
+  std::map<std::string, std::string> out;
+  auto reader = store->CreateSession();
+  auto txn = store->Begin(reader.get());
+  EXPECT_TRUE(txn.ok());
+  for (int i = 0; i < kWorkloadKeys; i++) {
+    const std::string key = "k" + std::to_string(i);
+    std::string v;
+    if ((*txn)->Get(key, &v).ok()) out[key] = v;
+  }
+  (*txn)->Abort();
+  return out;
+}
+
+// Runs a scripted fork/merge workload on a fresh store opened with
+// `options`, then merges down to one leaf. Returns every value the workload
+// read, in order, and the final state of the keyspace.
+std::pair<std::vector<std::string>, std::map<std::string, std::string>>
+RunForkMergeWorkload(const TardisOptions& options) {
+  auto store = TardisStore::Open(options);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  std::vector<std::string> reads;
+  Random rng(7);
+  constexpr int kSessions = 3;
+  std::vector<std::unique_ptr<ClientSession>> sessions;
+  for (int i = 0; i < kSessions; i++) {
+    sessions.push_back((*store)->CreateSession());
+  }
+  auto merger = (*store)->CreateSession();
+  for (int round = 0; round < 120; round++) {
+    if (rng.Bernoulli(0.15)) {
+      while ((*store)->dag()->Leaves().size() > 1) {
+        auto m = (*store)->BeginMerge(merger.get());
+        EXPECT_TRUE(m.ok());
+        auto conflicts = (*m)->FindConflictWrites((*m)->parents());
+        EXPECT_TRUE(conflicts.ok());
+        for (const std::string& key : *conflicts) {
+          // Deterministic resolution: the largest branch value wins.
+          std::string best;
+          for (StateId p : (*m)->parents()) {
+            std::string v;
+            if ((*m)->GetForId(key, p, &v).ok() && v > best) best = v;
+          }
+          reads.push_back(best);
+          EXPECT_TRUE((*m)->Put(key, best).ok());
+        }
+        EXPECT_TRUE((*m)->Commit().ok());
+      }
+    } else {
+      // One writer, or two concurrent ones that fork when both read the
+      // key the other writes.
+      const int writers = rng.Bernoulli(0.5) ? 2 : 1;
+      const int first = static_cast<int>(rng.Uniform(kSessions));
+      std::vector<TxnPtr> txns;
+      for (int w = 0; w < writers; w++) {
+        auto txn = (*store)->Begin(sessions[(first + w) % kSessions].get());
+        EXPECT_TRUE(txn.ok());
+        txns.push_back(std::move(*txn));
+      }
+      for (int w = 0; w < writers; w++) {
+        const std::string key =
+            "k" + std::to_string(rng.Uniform(kWorkloadKeys));
+        std::string v;
+        txns[w]->Get(key, &v);  // NotFound leaves v empty
+        reads.push_back(v);
+        EXPECT_TRUE(txns[w]->Put(key, v + "." + std::to_string(round)).ok());
+      }
+      for (TxnPtr& txn : txns) EXPECT_TRUE(txn->Commit().ok());
+    }
+  }
+  EXPECT_GT((*store)->stats().branches_created, 0u);
+  EXPECT_GT((*store)->stats().merges_committed, 0u);
+  while ((*store)->dag()->Leaves().size() > 1) {
+    auto m = (*store)->BeginMerge(merger.get());
+    EXPECT_TRUE(m.ok());
+    EXPECT_TRUE((*m)->Commit().ok());
+  }
+  EXPECT_TRUE((*store)->Flush().ok());
+  return {reads, ReadAllKeys(store->get())};
+}
+
+// Each RecordBackend opens a store that reports it and owns a record store.
+TEST(TrieStoreIntegration, BackendSelectionAndIntrospection) {
+  const std::string dir = ::testing::TempDir() + "tardis_txn_select_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  for (RecordBackend backend :
+       {RecordBackend::kMem, RecordBackend::kTrie, RecordBackend::kBTree}) {
+    TardisOptions options;
+    options.backend = backend;
+    if (backend == RecordBackend::kBTree) options.dir = dir;
+    auto store = TardisStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_STREQ((*store)->backend_name(), RecordBackendName(backend));
+    EXPECT_NE((*store)->record_store(), nullptr);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The trie backend keeps versions in the key-version map like mem, so the
+// scripted fork/merge workload must read the same values on both.
+TEST(TrieStoreIntegration, TrieFastPathMatchesMemBackend) {
+  TardisOptions mem;
+  TardisOptions trie;
+  trie.backend = RecordBackend::kTrie;
+  const auto mem_result = RunForkMergeWorkload(mem);
+  EXPECT_FALSE(mem_result.second.empty());
+  EXPECT_EQ(RunForkMergeWorkload(trie), mem_result);
+}
+
+// The same workload on a durable btree store reads what mem reads, and
+// reads the final state again after a reopen (values then load lazily
+// from its record store).
+TEST(TxnBackendTest, ForkMergeWorkloadReadsMatchOnBTreeAndAfterReopen) {
+  const std::string dir = ::testing::TempDir() + "tardis_txn_backends_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  TardisOptions btree;
+  btree.backend = RecordBackend::kBTree;
+  btree.dir = dir;
+
+  const auto mem_result = RunForkMergeWorkload(TardisOptions());
+  EXPECT_EQ(RunForkMergeWorkload(btree), mem_result);
+
+  auto store = TardisStore::Open(btree);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(ReadAllKeys(store->get()), mem_result.second);
+  store->reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
