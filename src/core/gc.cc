@@ -1,7 +1,7 @@
 #include "core/gc.h"
 
 #include <algorithm>
-#include <deque>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -10,6 +10,39 @@
 #include "util/clock.h"
 
 namespace tardis {
+
+namespace {
+/// Most candidates one pass-3 batch visits, so the most victims one
+/// commit-lock hold unlinks. An unlink costs about a microsecond, which
+/// keeps every hold well under a millisecond.
+constexpr size_t kDeleteBatch = 128;
+/// Plans of one batch before it is left to the next cycle. A plan goes
+/// stale only when a commit adds a child to a victim, or a reader pins
+/// one, between the planning hold and the unlinking hold.
+constexpr int kBatchAttempts = 4;
+}  // namespace
+
+/// One hold of the commit lock, observed into a tardis_gc_lock_hold_us
+/// series and the cycle's maximum once the lock is released.
+class GarbageCollector::TimedHold {
+ public:
+  TimedHold(GarbageCollector* gc, obs::HistogramMetric* hist)
+      : gc_(gc), hist_(hist), lock_(gc->dag_->Lock()), start_(NowMicros()) {}
+  ~TimedHold() {
+    const uint64_t us = NowMicros() - start_;
+    lock_.unlock();
+    hist_->Observe(us);
+    gc_->max_hold_us_ = std::max(gc_->max_hold_us_, us);
+  }
+  TimedHold(const TimedHold&) = delete;
+  TimedHold& operator=(const TimedHold&) = delete;
+
+ private:
+  GarbageCollector* const gc_;
+  obs::HistogramMetric* const hist_;
+  std::unique_lock<std::mutex> lock_;
+  const uint64_t start_;
+};
 
 GarbageCollector::GarbageCollector(StateDag* dag, KeyVersionMap* kvmap,
                                    RecordStore* record_store,
@@ -37,6 +70,19 @@ GarbageCollector::GarbageCollector(StateDag* dag, KeyVersionMap* kvmap,
   pass_duration_us_ = registry->RegisterHistogram(
       "tardis_gc_pass_duration_us",
       "Wall time of one full GC cycle, microseconds", site);
+  // Passes 1 and 2 and record promotion take no commit lock, so the
+  // phases are pass 3's two holds per batch.
+  const char* const kHoldHelp =
+      "One garbage-collector hold of the commit lock, microseconds";
+  obs::LabelSet compress = site;
+  compress.emplace_back("phase", "compress");
+  hold_compress_us_ =
+      registry->RegisterHistogram("tardis_gc_lock_hold_us", kHoldHelp,
+                                  compress);
+  obs::LabelSet del = site;
+  del.emplace_back("phase", "delete");
+  hold_delete_us_ =
+      registry->RegisterHistogram("tardis_gc_lock_hold_us", kHoldHelp, del);
 }
 
 GarbageCollector::~GarbageCollector() { StopBackground(); }
@@ -56,6 +102,7 @@ GcStats GarbageCollector::RunOnce() {
   GcStats stats;
   stats.runs = 1;
   static const bool trace = getenv("TARDIS_GC_TRACE") != nullptr;
+  max_hold_us_ = 0;
   const uint64_t t0 = NowMicros();
   DagCompressionPass(&stats);
   const uint64_t t1 = NowMicros();
@@ -63,12 +110,13 @@ GcStats GarbageCollector::RunOnce() {
   if (trace) {
     fprintf(stderr,
             "[gc] compress=%lluus promote=%lluus deleted=%llu pruned=%llu "
-            "kept=%llu\n",
+            "kept=%llu max_hold=%lluus\n",
             (unsigned long long)(t1 - t0),
             (unsigned long long)(NowMicros() - t1),
             (unsigned long long)stats.states_deleted,
             (unsigned long long)stats.versions_pruned,
-            (unsigned long long)stats.versions_promoted);
+            (unsigned long long)stats.versions_promoted,
+            (unsigned long long)max_hold_us_);
   }
   runs_total_->Increment();
   states_marked_total_->Increment(stats.states_marked);
@@ -87,30 +135,35 @@ void GarbageCollector::DagCompressionPass(GcStats* stats) {
     ceilings.swap(pending_ceilings_);
   }
 
-  std::lock_guard<std::mutex> dag_guard(dag_->Lock());
-
   // Pass 1 (bottom-up): mark every proper ancestor of each ceiling. A
   // marked state's ancestors are already marked (invariant of this pass),
   // so the walk stops at the first marked state — each state is marked
   // exactly once over the store's lifetime, no matter how many ceilings
-  // accumulate above it.
+  // accumulate above it. No commit lock: parents() changes only when a
+  // state is created and in DeleteStateLocked (state_dag.h), and a read
+  // pin taken meanwhile is rechecked under the lock before any deletion.
   for (const StatePtr& ceiling : ceilings) {
-    std::deque<StatePtr> work(ceiling->parents().begin(),
-                              ceiling->parents().end());
+    std::vector<StatePtr> work(ceiling->parents().begin(),
+                               ceiling->parents().end());
     while (!work.empty()) {
-      StatePtr s = work.back();
+      StatePtr s = std::move(work.back());
       work.pop_back();
       if (s->marked.exchange(true)) continue;  // subtree already done
       stats->states_marked++;
-      for (const StatePtr& p : s->parents()) work.push_back(p);
+      work.insert(work.end(), s->parents().begin(), s->parents().end());
+      marked_live_.push_back(std::move(s));
     }
   }
 
   // Pass 2 (top-down, id order = topological): safe-to-gc iff marked, not
-  // pinned as a read state, and all surviving parents are safe-to-gc.
-  std::vector<StatePtr> states = dag_->AllStatesLocked();
-  for (const StatePtr& s : states) {
-    if (!s->marked.load()) continue;
+  // pinned as a read state, and all surviving parents are safe-to-gc. The
+  // parents of a marked state are marked, so the marked states still in
+  // the DAG are all this pass needs to visit.
+  std::sort(marked_live_.begin(), marked_live_.end(),
+            [](const StatePtr& a, const StatePtr& b) {
+              return a->id() < b->id();
+            });
+  for (const StatePtr& s : marked_live_) {
     if (s->read_pins() > 0) {
       s->safe_to_gc = false;
       continue;
@@ -126,44 +179,117 @@ void GarbageCollector::DagCompressionPass(GcStats* stats) {
   }
 
   // Pass 3: delete safe states that are not fork points, promoting each
-  // to its most recent surviving child. Record which keys lost a version
-  // owner so the promotion pass only visits those, and batch the
-  // write-set inheritance per *final* surviving heir (a chain-at-a-time
-  // union would be quadratic in the chain length).
-  std::vector<StatePtr> victims;
-  for (const StatePtr& s : states) {
-    if (s->deleted.load() || !s->safe_to_gc.load()) continue;
-    if (s->parents().empty()) continue;  // keep the root: every surviving
-                                         // state stays attached to it
-    if (s->children().size() != 1) continue;  // fork point or dangling leaf
-    StatePtr heir = s->children()[0];
-    for (const std::string& key : s->write_set().keys()) {
-      dirty_keys_.insert(key);
+  // to its surviving child, in batches in descending id order. Keep the
+  // root: every surviving state stays attached to it.
+  std::vector<StatePtr> batch;
+  for (auto it = marked_live_.rbegin(); it != marked_live_.rend(); ++it) {
+    if (!(*it)->safe_to_gc.load() || (*it)->parents().empty()) continue;
+    batch.push_back(*it);
+    if (batch.size() == kDeleteBatch) {
+      DeleteBatch(batch, stats);
+      batch.clear();
     }
-    dag_->DeleteStateLocked(s, heir);
-    victims.push_back(s);
-    stats->states_deleted++;
   }
-  // heir -> flat key list; dedup + one Union per heir at the end keeps
-  // this linear in the total number of inherited keys.
-  std::unordered_map<State*, std::vector<std::string>> inherited;
-  std::unordered_map<State*, StatePtr> heir_ptr;
-  for (const StatePtr& victim : victims) {
-    StatePtr heir = dag_->ResolveLocked(victim->id());
-    if (heir == nullptr) continue;
-    std::vector<std::string>& bucket = inherited[heir.get()];
-    const auto& own = victim->write_set().keys();
-    const auto& passed = victim->inherited_writes().keys();
-    bucket.insert(bucket.end(), own.begin(), own.end());
-    bucket.insert(bucket.end(), passed.begin(), passed.end());
-    heir_ptr[heir.get()] = heir;
-  }
-  for (auto& [heir_raw, bucket] : inherited) {
-    std::sort(bucket.begin(), bucket.end());
-    bucket.erase(std::unique(bucket.begin(), bucket.end()), bucket.end());
-    KeySet batch;
-    for (std::string& k : bucket) batch.Add(std::move(k));
-    heir_ptr[heir_raw]->inherited_writes().Union(batch);
+  if (!batch.empty()) DeleteBatch(batch, stats);
+  // Outside the lock, so a victim's last reference never drops under it.
+  marked_live_.erase(
+      std::remove_if(marked_live_.begin(), marked_live_.end(),
+                     [](const StatePtr& s) { return s->deleted.load(); }),
+      marked_live_.end());
+}
+
+void GarbageCollector::DeleteBatch(const std::vector<StatePtr>& batch,
+                                   GcStats* stats) {
+  struct Victim {
+    StatePtr state;
+    StatePtr child;  // its only child when planned
+    StatePtr heir;   // the survivor that takes over its identity
+  };
+  for (int attempt = 0; attempt < kBatchAttempts; attempt++) {
+    std::vector<Victim> victims;
+    {
+      TimedHold hold(this, hold_compress_us_);
+      for (const StatePtr& s : batch) {
+        if (s->read_pins() > 0) continue;
+        if (s->children().size() != 1) continue;  // fork point or leaf
+        victims.push_back(Victim{s, s->children()[0], nullptr});
+      }
+    }
+    if (victims.empty()) return;
+
+    // In descending id order a victim's child is either a survivor or a
+    // victim already given its heir, so every heir is a survivor.
+    std::unordered_map<const State*, StatePtr> heir_of;
+    for (Victim& v : victims) {
+      auto it = heir_of.find(v.child.get());
+      v.heir = it == heir_of.end() ? v.child : it->second;
+      heir_of.emplace(v.state.get(), v.heir);
+    }
+    // Each heir's new inherited writes: its own plus every victim's own and
+    // inherited writes. Built without the lock: only the collector writes
+    // inherited_writes(), and the union with the existing set is one
+    // linear merge per heir.
+    std::unordered_map<State*, std::vector<std::string>> added;
+    for (const Victim& v : victims) {
+      std::vector<std::string>& keys = added[v.heir.get()];
+      for (const KeySet* ks :
+           {&v.state->write_set(), &v.state->inherited_writes()}) {
+        keys.insert(keys.end(), ks->keys().begin(), ks->keys().end());
+      }
+    }
+    std::vector<std::pair<State*, KeySet>> unions;
+    unions.reserve(added.size());
+    for (auto& [heir, keys] : added) {
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      const std::vector<std::string>& have = heir->inherited_writes().keys();
+      std::vector<std::string> merged;
+      merged.reserve(have.size() + keys.size());
+      std::set_union(have.begin(), have.end(),
+                     std::make_move_iterator(keys.begin()),
+                     std::make_move_iterator(keys.end()),
+                     std::back_inserter(merged));
+      unions.emplace_back(heir, KeySet(std::move(merged)));
+    }
+
+    dag_->ReservePromotions(victims.size());
+
+    bool unchanged = true;
+    {
+      TimedHold hold(this, hold_delete_us_);
+      for (const Victim& v : victims) {
+        if (v.state->read_pins() > 0 || v.state->children().size() != 1 ||
+            v.state->children()[0] != v.child) {
+          unchanged = false;
+          break;
+        }
+      }
+      if (unchanged) {
+        // A victim never leaves while its writes are missing from its
+        // heir, or FindConflictWrites would miss a conflict: the new sets
+        // go in within the same hold. The old ones are freed after it.
+        for (auto& [heir, keys] : unions) {
+          std::swap(heir->inherited_writes(), keys);
+        }
+        for (const Victim& v : victims) {
+          dag_->DeleteStateLocked(v.state, v.heir);
+        }
+      }
+    }
+    if (!unchanged) continue;  // plan again from the current DAG
+
+    // The versions under a victim, and under the states it inherited
+    // from, now promote to a new heir: revisit those keys.
+    for (const Victim& v : victims) {
+      for (const KeySet* ks :
+           {&v.state->write_set(), &v.state->inherited_writes()}) {
+        dirty_keys_.insert(ks->keys().begin(), ks->keys().end());
+      }
+      // Its heir holds these now, and no walk reaches an unlinked state.
+      v.state->inherited_writes() = KeySet();
+    }
+    stats->states_deleted += victims.size();
+    return;
   }
 }
 
@@ -192,21 +318,20 @@ void GarbageCollector::RecordPromotionPass(GcStats* stats) {
     // Fig. 7 visibility needs only the (immutable) id and fork path, so a
     // version owned by a compressed-away state remains perfectly
     // readable, and nothing has to be re-tagged on later GC cycles.
+    //
+    // No commit lock: this cycle deletes nothing more, so the promotion
+    // table alone resolves a dead id to its live heir (the single-deleter
+    // invariant in state_dag.h).
     std::unordered_map<StateId, StateId> winner;  // heir id -> winning sid
     std::vector<std::pair<VersionEntry, StateId>> dead;  // entry, heir id
-    {
-      // One commit-lock acquisition resolves every dead version of the key.
-      std::lock_guard<std::mutex> dag_guard(dag_->Lock());
-      for (const VersionEntry& v : versions) {
-        if (!v.state->deleted.load()) continue;
-        StatePtr heir = dag_->ResolveLocked(v.sid);
-        const StateId heir_id = heir ? heir->id() : kInvalidStateId;
-        dead.emplace_back(v, heir_id);
-        if (heir_id == kInvalidStateId) continue;  // branch gone: prune
-        auto it = winner.find(heir_id);
-        if (it == winner.end() || v.sid > it->second) {
-          winner[heir_id] = v.sid;
-        }
+    for (const VersionEntry& v : versions) {
+      if (!v.state->deleted.load()) continue;
+      const StateId heir_id = dag_->ResolvePromotedId(v.sid);
+      dead.emplace_back(v, heir_id);
+      if (heir_id == kInvalidStateId) continue;  // unresolvable: prune
+      auto it = winner.find(heir_id);
+      if (it == winner.end() || v.sid > it->second) {
+        winner[heir_id] = v.sid;
       }
     }
     for (const auto& [v, heir_id] : dead) {

@@ -10,7 +10,11 @@
 //     re-tagged with their promoted state's id; of a chain sharing an id
 //     only the most recent survives.
 //
-// Runs either on demand (RunOnce) or on a background thread.
+// Runs either on demand (RunOnce) or on a background thread. It holds
+// the commit lock (StateDag::Lock()) only in short steps, so commits keep
+// their pace while it runs: passes 1 and 2 and record promotion take no
+// commit lock at all, and pass 3 plans and unlinks its victims in batches
+// of bounded size (DESIGN.md §4b).
 
 #ifndef TARDIS_CORE_GC_H_
 #define TARDIS_CORE_GC_H_
@@ -58,7 +62,7 @@ class GarbageCollector {
   void PlaceCeiling(const StatePtr& ceiling);
 
   /// One full compression + pruning cycle. Safe to run concurrently with
-  /// transactions; DAG passes hold the commit lock.
+  /// transactions; each commit-lock hold covers one bounded batch.
   GcStats RunOnce();
 
   void StartBackground(uint64_t interval_ms);
@@ -67,7 +71,12 @@ class GarbageCollector {
   GcStats TotalStats() const;
 
  private:
+  class TimedHold;
+
   void DagCompressionPass(GcStats* stats);
+  /// Pass 3 for one batch of candidates in descending id order: plans the
+  /// victims and their heirs' inherited writes, then unlinks them.
+  void DeleteBatch(const std::vector<StatePtr>& batch, GcStats* stats);
   void RecordPromotionPass(GcStats* stats);
 
   StateDag* const dag_;
@@ -82,6 +91,12 @@ class GarbageCollector {
   /// these need record promotion. Touched by the GC thread only.
   std::unordered_set<std::string> dirty_keys_;
 
+  /// Every marked state not yet deleted: pass 2 and pass 3 visit these
+  /// instead of the whole DAG. Guarded by run_mu_.
+  std::vector<StatePtr> marked_live_;
+  /// Longest commit-lock hold of the current cycle (for TARDIS_GC_TRACE).
+  uint64_t max_hold_us_ = 0;
+
   /// Lifetime totals live in registry counters, not a mutex-guarded
   /// struct. own_registry_ backs the counters when no shared registry was
   /// supplied.
@@ -92,6 +107,8 @@ class GarbageCollector {
   obs::Counter* versions_promoted_total_ = nullptr;
   obs::Counter* versions_pruned_total_ = nullptr;
   obs::HistogramMetric* pass_duration_us_ = nullptr;
+  obs::HistogramMetric* hold_compress_us_ = nullptr;  ///< pass 3 planning
+  obs::HistogramMetric* hold_delete_us_ = nullptr;    ///< pass 3 unlinking
 
   std::thread bg_;
   std::mutex bg_mu_;

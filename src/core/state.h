@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "util/spinlock.h"
 
 namespace tardis {
 
@@ -32,15 +33,24 @@ class State {
   /// Immutable-snapshot fork path. Mutations (the retroactive update when
   /// a state gains a second child, see StateDag) swap the pointer; readers
   /// always see a consistent path. The object may be shared with other
-  /// states on the same branch segment.
+  /// states on the same branch segment. A one-byte spin lock guards the
+  /// pointer: libstdc++'s std::atomic<std::shared_ptr> releases its
+  /// internal lock with a relaxed store after a load, which leaves the
+  /// load unordered with the next store (a data race ThreadSanitizer
+  /// reports).
   std::shared_ptr<const ForkPath> fork_path() const {
-    return fork_path_.load(std::memory_order_acquire);
+    std::lock_guard<SpinLock> guard(fork_path_mu_);
+    return fork_path_;
   }
   void set_fork_path(std::shared_ptr<const ForkPath> p) {
-    fork_path_.store(std::move(p), std::memory_order_release);
+    std::lock_guard<SpinLock> guard(fork_path_mu_);
+    fork_path_.swap(p);  // the old path is released after the lock
   }
 
-  // --- DAG structure. Guarded by the owning StateDag's mutex. -----------
+  // --- DAG structure. Written under the owning StateDag's mutex. A state's
+  // --- parents change only at creation and when the garbage collector
+  // --- splices a neighbour out, so the collector reads them without the
+  // --- mutex; everyone else, and every read of children, holds it. -------
   std::vector<StatePtr>& parents() { return parents_; }
   const std::vector<StatePtr>& parents() const { return parents_; }
   std::vector<StatePtr>& children() { return children_; }
@@ -77,15 +87,17 @@ class State {
     session_seq_ = seq;
   }
 
-  // --- read-state pinning (GC pass 2 must skip pinned states) ------------
+  // --- read-state pinning. Pins are taken under the DAG mutex, and the
+  // --- collector rechecks them under it before it deletes a state. -------
   void PinAsReadState() { read_pins_.fetch_add(1, std::memory_order_relaxed); }
   void UnpinAsReadState() {
     read_pins_.fetch_sub(1, std::memory_order_relaxed);
   }
   int read_pins() const { return read_pins_.load(std::memory_order_relaxed); }
 
-  // --- GC bookkeeping (mutated under the DAG mutex; read lock-free by
-  // --- Begin's BFS and by record pruning, hence atomic) ------------------
+  // --- GC bookkeeping. Written by the collector only (marked and
+  // --- safe_to_gc without the DAG mutex, deleted under it) and read
+  // --- lock-free by Begin's BFS and by record pruning, hence atomic ------
   std::atomic<bool> marked{false};      ///< above a ceiling (pass 1)
   std::atomic<bool> safe_to_gc{false};  ///< pass 2
   std::atomic<bool> deleted{false};     ///< unlinked from the DAG
@@ -93,14 +105,15 @@ class State {
  private:
   const StateId id_;
   const GlobalStateId guid_;
-  std::atomic<std::shared_ptr<const ForkPath>> fork_path_{
-      std::make_shared<const ForkPath>()};
+  std::shared_ptr<const ForkPath> fork_path_ =
+      std::make_shared<const ForkPath>();
   std::vector<StatePtr> parents_;
   std::vector<StatePtr> children_;
   uint32_t child_slots_ = 0;
   KeySet write_set_;
   KeySet inherited_writes_;
   bool is_merge_ = false;
+  mutable SpinLock fork_path_mu_;  // guards fork_path_; fills padding here
   uint64_t session_id_ = 0;
   uint64_t session_seq_ = 0;
   std::atomic<int> read_pins_{0};

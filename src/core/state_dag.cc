@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <queue>
 #include <string_view>
 
@@ -132,6 +131,7 @@ StateDag::StateDag(uint32_t site_id) : site_id_(site_id) {
   by_id_[root_->id()] = root_;
   by_guid_[kRootGuid] = root_;
   leaves_.insert(root_.get());
+  UpdateCountsLocked();
 }
 
 bool StateDag::DescendantCheck(const State& writer, const State& reader) {
@@ -213,26 +213,39 @@ StatePtr StateDag::CreateStateWithIdLocked(
   by_id_[state->id()] = state;
   by_guid_[state->guid()] = state;
   leaves_.insert(state.get());
+  UpdateCountsLocked();
   return state;
 }
 
 void StateDag::RetroactiveForkAnnotationLocked(const StatePtr& first_child,
                                                ForkPoint entry) {
-  // DFS over the first child's subtree, adding `entry` to every fork
-  // path. Subtrees below a fresh fork are typically tiny: conflicts are
-  // detected within a handful of commits. States that shared a path
-  // object keep sharing one: each distinct old path is rewritten once.
+  // Adds `entry` to every fork path of the first child's subtree.
+  // Subtrees below a fresh fork are typically tiny: conflicts are detected
+  // within a handful of commits. States that shared a path object keep
+  // sharing one: each distinct old path is rewritten once.
+  std::vector<State*> subtree;
+  std::unordered_set<State*> seen;
+  std::vector<State*> work{first_child.get()};
+  while (!work.empty()) {
+    State* s = work.back();
+    work.pop_back();
+    if (!seen.insert(s).second) continue;
+    subtree.push_back(s);
+    for (const StatePtr& c : s->children()) work.push_back(c.get());
+  }
+  // Readers run Fig. 7 without the lock while the paths are swapped one
+  // by one. Descendants first (every edge goes to a larger id): a reader
+  // whose path is still old sees only old paths above it, and a reader
+  // whose path is new sees a superset of every ancestor's, so no version
+  // it can see is hidden mid-rewrite.
+  std::sort(subtree.begin(), subtree.end(),
+            [](const State* a, const State* b) { return a->id() > b->id(); });
   struct Rewrite {
     std::shared_ptr<const ForkPath> old_path;  // pins the memo key
     std::shared_ptr<const ForkPath> new_path;
   };
   std::unordered_map<const ForkPath*, Rewrite> rewritten;
-  std::deque<StatePtr> work{first_child};
-  std::unordered_set<State*> seen;
-  while (!work.empty()) {
-    StatePtr s = work.back();
-    work.pop_back();
-    if (!seen.insert(s.get()).second) continue;
+  for (State* s : subtree) {
     std::shared_ptr<const ForkPath> old_path = s->fork_path();
     Rewrite& r = rewritten[old_path.get()];
     if (r.new_path == nullptr) {
@@ -242,7 +255,6 @@ void StateDag::RetroactiveForkAnnotationLocked(const StatePtr& first_child,
       r.old_path = std::move(old_path);
     }
     s->set_fork_path(r.new_path);
-    for (const StatePtr& c : s->children()) work.push_back(c);
   }
 }
 
@@ -262,23 +274,30 @@ std::vector<StatePtr> StateDag::Leaves() const {
 }
 
 StatePtr StateDag::ResolveLocked(StateId id) const {
+  // Under the commit lock every promotion chain ends at a live state:
+  // DeleteStateLocked records victim -> heir while the heir is live.
+  auto it = by_id_.find(id);
+  if (it == by_id_.end()) it = by_id_.find(ResolvePromotedId(id));
+  return it == by_id_.end() ? nullptr : it->second;
+}
+
+StateId StateDag::ResolvePromotedId(StateId id) const {
+  std::lock_guard<std::mutex> promo_guard(promo_mu_);
   StateId cur = id;
   visited_scratch_.clear();
   for (int hops = 0; hops < 1 << 20; hops++) {  // cycle guard
-    auto it = by_id_.find(cur);
-    if (it != by_id_.end()) {
-      // Union-find path compression: repoint every promotion entry on the
-      // walked chain directly at the live state, so chains stay O(1) no
-      // matter how many GC rounds splice them.
-      for (StateId hop : visited_scratch_) promoted_[hop] = cur;
-      return it->second;
-    }
     auto promoted = promoted_.find(cur);
-    if (promoted == promoted_.end()) return nullptr;
+    if (promoted == promoted_.end()) {
+      // Union-find path compression: repoint every entry on the walked
+      // chain at its end, so chains stay O(1) no matter how many GC
+      // rounds splice them.
+      for (StateId hop : visited_scratch_) promoted_[hop] = cur;
+      return cur;
+    }
     visited_scratch_.push_back(cur);
     cur = promoted->second;
   }
-  return nullptr;
+  return kInvalidStateId;
 }
 
 StatePtr StateDag::Resolve(StateId id) const {
@@ -398,7 +417,7 @@ std::string StateDag::DebugString() const {
     }
     out += "\n";
   }
-  out += "promotion table: " + std::to_string(promoted_.size()) +
+  out += "promotion table: " + std::to_string(promotion_table_size()) +
          " entries\n";
   return out;
 }
@@ -486,11 +505,15 @@ void StateDag::DeleteStateLocked(const StatePtr& victim,
   // identity (Fig. 8's Promote table). Write-set inheritance is the
   // caller's job (the GC batches it per surviving heir — chain-at-a-time
   // unions here would be quadratic in the chain length).
-  promoted_[victim->id()] = heir->id();
+  {
+    std::lock_guard<std::mutex> promo_guard(promo_mu_);
+    promoted_[victim->id()] = heir->id();
+  }
 
   by_id_.erase(victim->id());
   by_guid_.erase(victim->guid());
   leaves_.erase(victim.get());
+  UpdateCountsLocked();
 }
 
 std::vector<StatePtr> StateDag::AllStatesLocked() const {
@@ -504,18 +527,16 @@ std::vector<StatePtr> StateDag::AllStatesLocked() const {
   return out;
 }
 
-size_t StateDag::state_count() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return by_id_.size();
-}
-
-size_t StateDag::leaf_count() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return leaves_.size();
+void StateDag::ReservePromotions(size_t n) {
+  std::lock_guard<std::mutex> guard(promo_mu_);
+  const size_t need = promoted_.size() + n;
+  if (need > promoted_.bucket_count() * promoted_.max_load_factor()) {
+    promoted_.reserve(2 * need);  // doubling keeps the rehashes amortized
+  }
 }
 
 size_t StateDag::promotion_table_size() const {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<std::mutex> guard(promo_mu_);
   return promoted_.size();
 }
 

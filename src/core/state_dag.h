@@ -9,10 +9,14 @@
 //    materialize when a state gains its *second* child: the new child gets
 //    (parent, slot) and the existing child subtree is retroactively
 //    annotated with (parent, 1). The retroactive pass runs inside the
-//    commit critical section, before the new state is published, so
-//    readers never observe a torn branch structure (records created before
-//    the fork are filtered by the id comparison in descendantCheck). A
-//    plain chain commit shares its parent's path object;
+//    commit critical section, before the new state is published, but
+//    readers check Fig. 7 without the lock while it swaps one path at a
+//    time. It therefore rewrites descendants before ancestors: a reader
+//    can see its own new path beside an ancestor's old one (old ⊆ new, so
+//    the ancestor's versions stay visible), never the reverse. Records
+//    created before the fork are filtered by the id comparison in
+//    descendantCheck. A plain chain commit shares its parent's path
+//    object;
 //  * the id-order invariant: every edge goes from a smaller id to a larger
 //    one. Fork-point and conflict searches rely on it to walk only the
 //    states above the fork point, in descending id order;
@@ -23,6 +27,19 @@
 //
 // All structural mutation happens under mu_ (the commit lock). Read-side
 // helpers (DescendantCheck) touch only immutable snapshots and atomics.
+//
+// Garbage-collection invariants (DESIGN.md §4b):
+//  * Lock order: mu_, then promo_mu_. promo_mu_ guards only the promotion
+//    table; it is taken alone by ResolvePromotedId and promotion_table_size
+//    and nested inside mu_ by ResolveLocked and DeleteStateLocked.
+//  * Single deleter: only the garbage collector calls DeleteStateLocked,
+//    and it runs one cycle at a time. So while a cycle runs, an id with no
+//    promotion-table entry names a live state, and the table resolves a
+//    dead id to its live heir without mu_.
+//  * A state's parents() vector is written when the state is created
+//    (before it is published) and otherwise only by DeleteStateLocked. The
+//    collector may therefore read parents() without mu_; children() needs
+//    mu_, because every commit appends to it.
 
 #ifndef TARDIS_CORE_STATE_DAG_H_
 #define TARDIS_CORE_STATE_DAG_H_
@@ -112,6 +129,13 @@ class StateDag {
   /// Lock-held variants of Resolve/ResolveGuid (callers inside the commit
   /// critical section).
   StatePtr ResolveLocked(StateId id) const;
+
+  /// Follows the promotion table from `id` to the first id without an
+  /// entry (path-compressing the chain), holding only the promotion-table
+  /// lock. That id is live when the caller holds the commit lock, or is
+  /// the collector between its deletions (the single-deleter invariant);
+  /// any other caller wants Resolve.
+  StateId ResolvePromotedId(StateId id) const;
   StatePtr ResolveGuidLocked(const GlobalStateId& guid) const;
 
   /// The commit lock. Commit-state selection, state creation and version
@@ -167,23 +191,39 @@ class StateDag {
   // ---- GC support (used by GarbageCollector; all require Lock()) --------
 
   /// Unlinks `victim` from the DAG and records Promote(victim -> heir)
-  /// (record promotion will move the actual versions). `heir` must be
-  /// victim's only child, as GC guarantees: splicing a victim with several
-  /// children would link the heir (the newest child) to an older sibling
-  /// and break the id-order invariant (checked by a debug assert).
+  /// (record promotion will move the actual versions). Only the garbage
+  /// collector calls this (the single-deleter invariant above). `heir`
+  /// must be victim's only child, as GC guarantees: splicing a victim with
+  /// several children would link the heir (the newest child) to an older
+  /// sibling and break the id-order invariant (checked by a debug assert).
   void DeleteStateLocked(const StatePtr& victim, const StatePtr& heir);
+
+  /// Makes room in the promotion table for `n` more entries. The collector
+  /// calls it without the commit lock before a batch of deletions, so that
+  /// DeleteStateLocked never rehashes the table under that lock.
+  void ReservePromotions(size_t n);
 
   /// All live states, id order. Requires Lock().
   std::vector<StatePtr> AllStatesLocked() const;
 
-  size_t state_count() const;
-  size_t leaf_count() const;
+  /// Live states and leaves; read without the commit lock.
+  size_t state_count() const {
+    return state_count_.load(std::memory_order_relaxed);
+  }
+  size_t leaf_count() const {
+    return leaf_count_.load(std::memory_order_relaxed);
+  }
   size_t promotion_table_size() const;
   uint64_t max_id() const { return next_id_.load() - 1; }
 
  private:
   void RetroactiveForkAnnotationLocked(const StatePtr& first_child,
                                        ForkPoint entry);
+  /// Republishes state_count_/leaf_count_ after by_id_ or leaves_ change.
+  void UpdateCountsLocked() {
+    state_count_.store(by_id_.size(), std::memory_order_relaxed);
+    leaf_count_.store(leaves_.size(), std::memory_order_relaxed);
+  }
 
   const uint32_t site_id_;
   std::atomic<uint64_t> next_id_{0};
@@ -195,10 +235,14 @@ class StateDag {
   std::unordered_map<StateId, StatePtr> by_id_;
   std::unordered_map<GlobalStateId, StatePtr, GlobalStateIdHash> by_guid_;
   std::unordered_set<State*> leaves_;
+  std::atomic<size_t> state_count_{0};
+  std::atomic<size_t> leaf_count_{0};
+
+  mutable std::mutex promo_mu_;  // promotion table; nests inside mu_
   // victim id -> heir id. Resolve() follows chains union-find style with
   // path compression (chains are repointed at the live state they reach).
   mutable std::unordered_map<StateId, StateId> promoted_;
-  mutable std::vector<StateId> visited_scratch_;  // guarded by mu_
+  mutable std::vector<StateId> visited_scratch_;  // guarded by promo_mu_
 };
 
 }  // namespace tardis

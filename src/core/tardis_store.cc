@@ -73,7 +73,7 @@ void TardisStore::RegisterMetrics() {
       "tardis_dag_leaves", "Branch tips (states without children)",
       [this] { return static_cast<double>(dag_.leaf_count()); }, site, this);
   metrics_->RegisterCallbackGauge(
-      "tardis_dag_promotions",
+      "tardis_dag_promotion_entries",
       "Promotion-table entries left behind by DAG compression",
       [this] { return static_cast<double>(dag_.promotion_table_size()); },
       site, this);
@@ -184,11 +184,16 @@ StatusOr<TxnPtr> TardisStore::Begin(ClientSession* session,
     // §6.1.1: BFS from the leaves up; the first (most recent) state that
     // satisfies the begin constraint becomes the read state. States above
     // a ceiling (marked) are skipped.
+    const StateId newest = dag_.max_id();
     StatePtr chosen = dag_.BfsFromLeaves([&](const StatePtr& s) {
       if (s->marked.load() || s->deleted.load()) return false;
       return bc->Satisfies(txn->ctx_, *s);
     });
     if (chosen == nullptr) {
+      // The walk starts from the leaves it read first. If commits grew
+      // those leaves meanwhile and a ceiling marked them, every state it
+      // reached may be marked: walk again from the new leaves.
+      if (dag_.max_id() != newest) continue;
       return Status::Aborted("no state satisfies begin constraint " +
                              bc->name());
     }
@@ -214,6 +219,7 @@ StatusOr<TxnPtr> TardisStore::BeginMerge(ClientSession* session,
   txn->ctx_.session_last_commit = session->last_commit_;
 
   for (int attempt = 0; attempt < 64; attempt++) {
+    const StateId newest = dag_.max_id();
     std::vector<StatePtr> tips;
     for (const StatePtr& leaf : dag_.Leaves()) {
       if (leaf->marked.load() || leaf->deleted.load()) continue;
@@ -222,6 +228,8 @@ StatusOr<TxnPtr> TardisStore::BeginMerge(ClientSession* session,
       if (max_parents != 0 && tips.size() == max_parents) break;
     }
     if (tips.empty()) {
+      // As in Begin: the leaves read may have grown and been marked.
+      if (dag_.max_id() != newest) continue;
       return Status::Aborted("no leaf satisfies begin constraint " +
                              bc->name());
     }
@@ -289,14 +297,31 @@ Status TardisStore::TxnGet(Transaction* t, const Slice& key,
 
 Status TardisStore::TxnGetForId(Transaction* t, const Slice& key,
                                 StateId sid, std::string* value) {
-  StatePtr state = t->ResolveState(sid);
+  // Read states are pinned already. Any other state, or the heir a
+  // compressed-away id resolves to, is pinned for the read in the same
+  // commit-lock hold that resolves it: the GC deletes no pinned state, so
+  // it cannot prune a version this read needs (DESIGN.md §4b).
+  StatePtr state;
+  for (const StatePtr& s : t->ctx_.read_states) {
+    if (s->id() == sid) state = s;
+  }
+  bool pinned = false;
+  if (state == nullptr) {
+    std::lock_guard<std::mutex> guard(dag_.Lock());
+    state = dag_.ResolveLocked(sid);
+    if (state != nullptr) {
+      state->PinAsReadState();
+      pinned = true;
+    }
+  }
   if (state == nullptr) {
     return Status::Unavailable("state " + std::to_string(sid) +
                                " unknown or garbage-collected");
   }
   auto entry = kvmap_.GetVisible(key, *state);
-  if (!entry.ok()) return entry.status();
-  return LoadValue(key, *entry, value);
+  Status s = entry.ok() ? LoadValue(key, *entry, value) : entry.status();
+  if (pinned) state->UnpinAsReadState();
+  return s;
 }
 
 // ---- commit -----------------------------------------------------------------

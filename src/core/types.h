@@ -140,6 +140,11 @@ class ForkPath {
 /// Snapshot Isolation end constraints and by findConflictWrites).
 class KeySet {
  public:
+  KeySet() = default;
+  /// Adopts `sorted`, which must be sorted and free of duplicates.
+  explicit KeySet(std::vector<std::string> sorted)
+      : keys_(std::move(sorted)) {}
+
   void Add(const std::string& key) {
     auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
     if (it != keys_.end() && *it == key) return;

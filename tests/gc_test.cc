@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "core/tardis_store.h"
 
@@ -196,6 +202,150 @@ TEST_F(GcTest, WriterConcurrentWithGc) {
     }
     EXPECT_EQ(MustGet(session_.get(), "k" + std::to_string(k)),
               std::to_string(latest));
+  }
+}
+
+TEST_F(GcTest, SupersededVersionPrunedAfterHeirCompressed) {
+  // Chain root -> W(k) -> V(x) -> H(k). The first run deletes W into V
+  // while an open transaction pins V, so W's version of k stays: it is
+  // the one V sees. Once V is deleted into H, which rewrote k, W's version
+  // is superseded and must go, although V itself never wrote k.
+  PutCommit(session_.get(), "k", "w");
+  PutCommit(session_.get(), "x", "v");
+  auto pin = store_->Begin(session_.get());  // pins V, the session tip
+  ASSERT_TRUE(pin.ok());
+  PutCommit(session_.get(), "k", "h");
+  store_->PlaceCeiling(session_.get());
+  EXPECT_EQ(store_->RunGarbageCollection().states_deleted, 1u);  // W
+  EXPECT_EQ(store_->kvmap()->Versions("k").size(), 2u);
+  std::string v;
+  ASSERT_TRUE((*pin)->Get("k", &v).ok());
+  EXPECT_EQ(v, "w");
+  (*pin)->Abort();
+
+  EXPECT_EQ(store_->RunGarbageCollection().states_deleted, 1u);  // V
+  store_->RunGarbageCollection();
+  EXPECT_EQ(store_->kvmap()->Versions("k").size(), 1u);
+  EXPECT_EQ(MustGet(session_.get(), "k"), "h");
+  EXPECT_EQ(MustGet(session_.get(), "x"), "v");
+}
+
+// Values are zero-padded ticks of one clock, so a string comparison
+// orders them in time.
+std::string Tick(uint64_t t) {
+  char buf[24];
+  snprintf(buf, sizeof(buf), "%012llu", static_cast<unsigned long long>(t));
+  return buf;
+}
+
+// Commits exactly on the transaction's read states. A merge that rippled
+// past a commit made after its conflict search could overwrite that
+// commit's newer value with an older one.
+class NoRippleEnd : public EndConstraint {
+ public:
+  bool StepOk(const TxnContext&, const State&) const override {
+    return false;
+  }
+  bool FinalOk(const TxnContext&, const State&) const override {
+    return true;
+  }
+  std::string name() const override { return "NoRipple"; }
+};
+
+// One last-writer-wins merge of every leaf (no-op with a single leaf).
+void MergeLww(TardisStore* store, ClientSession* session) {
+  auto m = store->BeginMerge(session);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  const std::vector<StateId> parents = (*m)->parents();
+  if (parents.size() < 2) {
+    (*m)->Abort();
+    return;
+  }
+  auto forks = (*m)->FindForkPoints(parents);
+  ASSERT_TRUE(forks.ok()) << forks.status().ToString();
+  auto conflicts = (*m)->FindConflictWrites(parents);
+  ASSERT_TRUE(conflicts.ok()) << conflicts.status().ToString();
+  for (const std::string& key : *conflicts) {
+    std::string merged;
+    for (StateId p : parents) {
+      std::string v;
+      Status s = (*m)->GetForId(key, p, &v);
+      ASSERT_TRUE(s.ok()) << key << "@" << p << ": " << s.ToString();
+      merged = std::max(merged, v);
+    }
+    ASSERT_TRUE((*m)->Put(key, merged).ok());
+  }
+  Status s = (*m)->Commit(std::make_shared<NoRippleEnd>());
+  ASSERT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST_F(GcTest, PromotionRacesCommitsMergesAndResolves) {
+  // A background GC every millisecond, with frequent ceilings, races
+  // sessions that commit conflicting transactions, merge the branches
+  // and read through ids the GC has promoted away. Each key has one
+  // writing session, so its last acknowledged value is well defined; the
+  // reads of other sessions' keys make the commits fork.
+  constexpr int kSessions = 4;
+  constexpr int kKeys = 16;
+  constexpr int kTxns = 1000;
+  constexpr int kMergeEvery = 16;
+  constexpr int kCeilingEvery = 8;
+  auto key = [](int k) { return "key" + std::to_string(k); };
+  for (int k = 0; k < kKeys; k++) PutCommit(session_.get(), key(k), Tick(0));
+
+  std::atomic<uint64_t> clock{1};
+  std::vector<uint64_t> last(kKeys, 0);  // written by the key's owner
+  store_->StartGcThread(1);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kSessions; w++) {
+    threads.emplace_back([&, w] {
+      auto session = store_->CreateSession();
+      ready.fetch_add(1);
+      while (ready.load() < kSessions) std::this_thread::yield();
+      // (state id, key, tick) of this session's commits, oldest first.
+      std::vector<std::tuple<StateId, int, uint64_t>> history;
+      for (int i = 0; i < kTxns; i++) {
+        const int own = w + kSessions * (i % (kKeys / kSessions));
+        const int other = (own + 1 + i % (kKeys - 1)) % kKeys;
+        auto txn = store_->Begin(session.get());
+        ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+        std::string v;
+        ASSERT_TRUE((*txn)->Get(key(other), &v).ok());
+        ASSERT_TRUE((*txn)->Get(key(own), &v).ok());
+        const uint64_t tick = clock.fetch_add(1);
+        ASSERT_TRUE((*txn)->Put(key(own), Tick(tick)).ok());
+        // An older commit of this session, which the GC has likely
+        // compressed away: its id resolves to a descendant, which sees
+        // that commit's write or a later one.
+        if (history.size() >= 16) {
+          const auto& [sid, k, t] = history[history.size() - 16];
+          Status s = (*txn)->GetForId(key(k), sid, &v);
+          ASSERT_TRUE(s.ok()) << "state " << sid << ": " << s.ToString();
+          EXPECT_GE(v, Tick(t)) << "state " << sid;
+        }
+        Status s = (*txn)->Commit(SerializabilityEnd());
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        last[own] = tick;
+        history.emplace_back(session->last_commit()->id(), own, tick);
+        if (i % kMergeEvery == kMergeEvery - 1) {
+          MergeLww(store_.get(), session.get());
+        }
+        if (i % kCeilingEvery == kCeilingEvery - 1) {
+          store_->PlaceCeiling(session.get());
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  store_->StopGcThread();
+  EXPECT_GT(store_->gc()->TotalStats().states_deleted, 0u);
+
+  auto closer = store_->CreateSession();
+  MergeLww(store_.get(), closer.get());
+  ASSERT_EQ(store_->dag()->leaf_count(), 1u);
+  for (int k = 0; k < kKeys; k++) {
+    EXPECT_EQ(MustGet(closer.get(), key(k)), Tick(last[k])) << key(k);
   }
 }
 

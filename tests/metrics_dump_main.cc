@@ -31,13 +31,14 @@ const char* kExpectedNames[] = {
     "tardis_merge_latency_us",
     "tardis_dag_states",
     "tardis_dag_leaves",
-    "tardis_dag_promotions",
+    "tardis_dag_promotion_entries",
     "tardis_gc_runs_total",
     "tardis_gc_states_marked_total",
     "tardis_gc_states_deleted_total",
     "tardis_gc_versions_promoted_total",
     "tardis_gc_versions_pruned_total",
     "tardis_gc_pass_duration_us",
+    "tardis_gc_lock_hold_us",
     "tardis_fault_points_hit_total",
     "tardis_fault_errors_injected_total",
     "tardis_fault_delays_injected_total",

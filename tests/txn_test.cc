@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -185,6 +186,60 @@ TEST_F(TxnTest, ConflictingCommitsForkTheDag) {
   // Each session reads its own branch (inter-branch isolation).
   EXPECT_EQ(MustGet(session_.get(), "counter"), "1");
   EXPECT_EQ(MustGet(s2.get(), "counter"), "2");
+}
+
+TEST_F(TxnTest, ForkAnnotationNeverHidesAncestorWrites) {
+  // A fork annotates the first child's whole subtree while readers run
+  // Fig. 7 without the commit lock. A reader pinned at the tip of a long
+  // chain keeps reading a key the chain's first state wrote while a
+  // commit forks the root above the chain: no read may miss that write.
+  constexpr int kRounds = 20;
+  constexpr int kChain = 5000;
+  uint64_t wrong = 0;
+  for (int round = 0; round < kRounds; round++) {
+    auto opened = TardisStore::Open(TardisOptions());
+    ASSERT_TRUE(opened.ok());
+    std::unique_ptr<TardisStore> store = std::move(*opened);
+    auto writer = store->CreateSession();
+    auto forker = store->CreateSession();
+    // Reads k at the root: its commit cannot ripple past the chain's
+    // first state, which writes k, so it forks the root.
+    auto fork_txn = store->Begin(forker.get());
+    ASSERT_TRUE(fork_txn.ok());
+    std::string v;
+    ASSERT_TRUE((*fork_txn)->Get("k", &v).IsNotFound());
+    auto put = [&](const std::string& key, const std::string& value) {
+      auto txn = store->Begin(writer.get());
+      ASSERT_TRUE(txn.ok());
+      ASSERT_TRUE((*txn)->Put(key, value).ok());
+      ASSERT_TRUE((*txn)->Commit().ok());
+    };
+    put("k", "first");
+    for (int i = 1; i < kChain; i++) put("chain", std::to_string(i));
+    auto reader = store->Begin(writer.get());  // pins the chain's tip
+    ASSERT_TRUE(reader.ok());
+
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> reads{0};
+    uint64_t round_wrong = 0;
+    std::thread loop([&] {
+      std::string got;
+      while (!done.load()) {
+        Status s = (*reader)->Get("k", &got);
+        if (!s.ok() || got != "first") round_wrong++;
+        reads.fetch_add(1);
+      }
+    });
+    while (reads.load() == 0) std::this_thread::yield();
+    ASSERT_TRUE((*fork_txn)->Put("k", "fork").ok());
+    ASSERT_TRUE((*fork_txn)->Commit(SerializabilityEnd()).ok());
+    done = true;
+    loop.join();
+    EXPECT_EQ(store->dag()->Leaves().size(), 2u);
+    (*reader)->Abort();
+    wrong += round_wrong;
+  }
+  EXPECT_EQ(wrong, 0u);
 }
 
 TEST_F(TxnTest, NoBranchingConstraintAbortsSecondWriter) {
