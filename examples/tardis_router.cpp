@@ -20,28 +20,29 @@
 // it (or a replacement) on the same flags — in-flight 2PC transactions
 // are finished by the participants' cooperative termination, and no
 // acknowledged write is lost (asserted by the grid e2e).
+//
+// Clients are served by server::LineServer with one worker, which runs
+// commands one at a time (cluster::Router is single-threaded). The queue
+// bound and request deadline are tardisd's defaults: a full queue answers
+// "ERR BUSY", a request that waited over 1 s "ERR DEADLINE", both
+// retryable. SIGTERM drains: in-flight commands (a 2PC included) finish
+// and are answered, then the router exits 0.
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <signal.h>
 #include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/router.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "server/line_server.h"
+#include "util/socket.h"
 
 namespace tardis {
 namespace {
@@ -67,9 +68,9 @@ bool ParseFlags(int argc, char** argv, RouterConfig* config) {
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
     if (const char* v = value("--port=")) {
-      config->port = static_cast<uint16_t>(atoi(v));
+      if (!ParsePort(v, &config->port)) return false;
     } else if (const char* v = value("--metrics-port=")) {
-      config->metrics_port = static_cast<uint16_t>(atoi(v));
+      if (!ParsePort(v, &config->metrics_port)) return false;
     } else if (const char* v = value("--partitions=")) {
       std::stringstream ss(v);
       std::string entry;
@@ -137,80 +138,32 @@ int RunRouter(const RouterConfig& config) {
     if (!metrics_http->serving()) return 1;
   }
 
-  const int server_fd = socket(AF_INET, SOCK_STREAM, 0);
-  int one = 1;
-  setsockopt(server_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
-  addr.sin_port = htons(config.port);
-  if (bind(server_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(server_fd, 64) != 0) {
-    fprintf(stderr, "tardis-router: port %u: %s\n", config.port,
-            strerror(errno));
+  // The queue bound and request deadline stay at LineServerOptions'
+  // defaults, which are tardisd's. One worker is what keeps
+  // cluster::Router single-threaded.
+  server::LineServerOptions serve_options;
+  serve_options.port = config.port;
+  serve_options.workers = 1;
+  server::LineServer server(serve_options, [&router] {
+    return [&router](const server::LineRequest& req) {
+      server::LineReply reply;
+      reply.text = router.Handle(req.line, &reply.close_conn);
+      return reply;
+    };
+  });
+  Status listen_status = server.Listen();
+  if (!listen_status.ok()) {
+    fprintf(stderr, "tardis-router: %s\n", listen_status.ToString().c_str());
     return 1;
   }
-  signal(SIGPIPE, SIG_IGN);
+  router.BindServingMetrics(&server);
+  server.DrainOnTermSignals();
 
   printf("tardis-router: serving %zu partition(s) on port %u%s\n",
          config.partitions.size(), config.port,
          config.metrics_port != 0 ? ", metrics via http" : "");
   fflush(stdout);
-
-  // One thread per client connection; Router::Handle is not thread-safe
-  // (it owns the per-partition connections), so a mutex serializes the
-  // command handling. Coordination traffic is control-plane volume — the
-  // data path is the partitions' own gossip.
-  std::mutex handle_mu;
-  std::vector<std::thread> conns;
-  while (true) {
-    const int fd = accept(server_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    conns.emplace_back([fd, &router, &handle_mu] {
-      std::string inbuf;
-      char chunk[65536];
-      while (true) {
-        size_t nl;
-        while ((nl = inbuf.find('\n')) == std::string::npos) {
-          const ssize_t n = read(fd, chunk, sizeof(chunk));
-          if (n <= 0) {
-            close(fd);
-            return;
-          }
-          inbuf.append(chunk, static_cast<size_t>(n));
-        }
-        std::string line = inbuf.substr(0, nl);
-        inbuf.erase(0, nl + 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        bool close_conn = false;
-        std::string reply;
-        {
-          std::lock_guard<std::mutex> lock(handle_mu);
-          reply = router.Handle(line, &close_conn);
-        }
-        reply.push_back('\n');
-        size_t off = 0;
-        while (off < reply.size()) {
-          const ssize_t n = write(fd, reply.data() + off, reply.size() - off);
-          if (n <= 0) {
-            close(fd);
-            return;
-          }
-          off += static_cast<size_t>(n);
-        }
-        if (close_conn) {
-          close(fd);
-          return;
-        }
-      }
-    });
-    conns.back().detach();
-  }
-  close(server_fd);
+  server.Run();
   return 0;
 }
 
@@ -233,7 +186,11 @@ int main(int argc, char** argv) {
             "for N partitions; default uniform). --txn-deadline-ms must\n"
             "stay below every participant's --twopc-resolve-ms.\n"
             "--trace-sample samples every Nth request into the tracer once\n"
-            "`trace start` has enabled it (0 = off).\n");
+            "`trace start` has enabled it (0 = off).\n"
+            "One worker runs the commands in order; a full queue answers\n"
+            "ERR BUSY and a request queued over 1 s ERR DEADLINE (retry).\n"
+            "SIGTERM or SIGINT drains: in-flight commands finish and are\n"
+            "answered, new ones get ERR SHUTTING_DOWN, then exit 0.\n");
     return config.help ? 0 : 2;
   }
   return tardis::RunRouter(config);

@@ -23,13 +23,14 @@
 // --metrics-port the daemon additionally serves the full metrics registry
 // as Prometheus text over plain HTTP (GET anything on that port).
 //
-// Overload safety: client requests flow through a bounded queue drained
-// by a small worker pool. When the queue is full new requests are shed
-// with "ERR BUSY …" (retryable); a request that waits in the queue past
-// --request-deadline-ms is answered "ERR DEADLINE …" (retryable) without
-// being executed. SIGTERM drains gracefully: stop accepting, finish the
-// queued work, flush the WAL, wait for the transport to push out the last
-// gossip, then exit 0 — locally committed transactions survive restart.
+// Overload safety: the client port is a server::LineServer — a bounded
+// queue (--max-queue) drained by --workers threads. When the queue is
+// full new requests are shed with "ERR BUSY …" (retryable); a request
+// that waits in the queue past --request-deadline-ms is answered
+// "ERR DEADLINE …" (retryable) without being executed. SIGTERM drains
+// gracefully: stop accepting, finish the queued work, flush the WAL, wait
+// for the transport to push out the last gossip, then exit 0 — locally
+// committed transactions survive restart.
 //
 // Client commands (one per line; single-line replies unless noted):
 //
@@ -58,7 +59,7 @@
 // util/backoff.h and the driver's retry helper).
 //
 // Any command line may carry a leading "*T<trace>/<span>/<flags>" header
-// (obs::StripTraceHeader): the worker binds that distributed-trace
+// (obs::StripTraceHeader): the server binds that distributed-trace
 // context for the request, so the daemon's spans join the caller's
 // trace. --slow-ms=MS logs a structured warning for any request slower
 // than MS, with the trace id and the per-stage latency breakdown.
@@ -74,24 +75,13 @@
 // header is rejected with retryable "ERR HEADER" — never silently
 // stripped, which would turn a dedupable write into a blind one.
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -108,37 +98,26 @@
 #include "obs/stage.h"
 #include "obs/trace.h"
 #include "replication/replicator.h"
+#include "server/line_server.h"
 #include "util/clock.h"
 #include "util/logging.h"
+#include "util/socket.h"
 
 namespace tardis {
 namespace {
 
-void SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-uint64_t NowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 struct DaemonConfig {
   uint32_t site = 0;
   std::vector<TcpPeer> endpoints;  // every site, indexed by site id
-  uint16_t client_port = 0;
+  /// The client port: --client-port, --workers, --max-queue and
+  /// --request-deadline-ms.
+  server::LineServerOptions serving;
   uint16_t metrics_port = 0;  ///< 0 disables the HTTP metrics endpoint
   GcCoordination gc_mode = GcCoordination::kOptimistic;
   std::string dir;
   /// Record backend (--backend=mem|btree|trie). Unset picks the
   /// deployment default: btree when --dir is set, mem otherwise.
   std::optional<RecordBackend> backend;
-  uint32_t workers = 4;
-  size_t max_queue = 128;
-  uint64_t request_deadline_ms = 1000;
   uint64_t tick_ms = 50;
   bool heartbeats = true;
   size_t archive_horizon = 4096;
@@ -166,9 +145,7 @@ bool ParseEndpoints(const std::string& list, std::vector<TcpPeer>* out) {
     TcpPeer p;
     p.site = site++;
     p.host = entry.substr(0, colon);
-    const int port = atoi(entry.c_str() + colon + 1);
-    if (port <= 0 || port > 65535) return false;
-    p.port = static_cast<uint16_t>(port);
+    if (!ParsePort(entry.substr(colon + 1), &p.port)) return false;
     out->push_back(std::move(p));
   }
   return out->size() >= 2;
@@ -186,9 +163,9 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
     } else if (const char* v = value("--peers=")) {
       if (!ParseEndpoints(v, &config->endpoints)) return false;
     } else if (const char* v = value("--client-port=")) {
-      config->client_port = static_cast<uint16_t>(atoi(v));
+      if (!ParsePort(v, &config->serving.port)) return false;
     } else if (const char* v = value("--metrics-port=")) {
-      config->metrics_port = static_cast<uint16_t>(atoi(v));
+      if (!ParsePort(v, &config->metrics_port)) return false;
     } else if (const char* v = value("--gc-mode=")) {
       if (strcmp(v, "pessimistic") == 0) {
         config->gc_mode = GcCoordination::kPessimistic;
@@ -205,11 +182,11 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
         return false;
       }
     } else if (const char* v = value("--workers=")) {
-      config->workers = std::max(1, atoi(v));
+      config->serving.workers = std::max(1, atoi(v));
     } else if (const char* v = value("--max-queue=")) {
-      config->max_queue = static_cast<size_t>(std::max(1, atoi(v)));
+      config->serving.max_queue = static_cast<size_t>(std::max(1, atoi(v)));
     } else if (const char* v = value("--request-deadline-ms=")) {
-      config->request_deadline_ms = static_cast<uint64_t>(atoll(v));
+      config->serving.request_deadline_ms = static_cast<uint64_t>(atoll(v));
     } else if (const char* v = value("--tick-ms=")) {
       config->tick_ms = static_cast<uint64_t>(std::max(1, atoi(v)));
     } else if (const char* v = value("--heartbeats=")) {
@@ -219,7 +196,7 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
     } else if (const char* v = value("--partition=")) {
       config->partition = atoll(v);
     } else if (const char* v = value("--coord-port=")) {
-      config->coord_port = static_cast<uint16_t>(atoi(v));
+      if (!ParsePort(v, &config->coord_port)) return false;
     } else if (const char* v = value("--twopc-resolve-ms=")) {
       config->twopc_resolve_ms = static_cast<uint64_t>(atoll(v));
     } else if (const char* v = value("--slow-ms=")) {
@@ -244,7 +221,7 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
     return false;
   }
   return !config->endpoints.empty() && config->site < config->endpoints.size() &&
-         config->client_port != 0;
+         config->serving.port != 0;
 }
 
 /// Merges all current branch tips into one state. `counter` resolves each
@@ -301,22 +278,17 @@ std::string DoMerge(TardisStore* store, ClientSession* session,
   return "MERGED " + std::to_string(parents.size());
 }
 
-/// Daemon-wide request-path state shared between the accept loop, the
-/// worker pool and the `health` command.
-struct DaemonShared {
-  std::atomic<uint64_t> queue_depth{0};
-  std::atomic<uint64_t> requests_total{0};
-  std::atomic<uint64_t> shed_total{0};
-  std::atomic<uint64_t> deadline_expired_total{0};
-  std::atomic<bool> draining{false};
-  uint32_t workers = 0;
-  // Static configuration surfaced by `health` (grid debugging should not
-  // require reading flags off /proc/cmdline).
-  uint16_t metrics_port = 0;
-  size_t queue_bound = 0;
-  int64_t partition = -1;
-  uint16_t coord_port = 0;  ///< actual bound port, 0 when disabled
+/// What the request path reaches: the site's flags, store, replication
+/// and serving state. RunDaemon owns all of it and outlives both servers.
+struct Daemon {
+  const DaemonConfig* config = nullptr;
+  TardisStore* store = nullptr;
+  Replicator* replicator = nullptr;
+  TcpTransport* transport = nullptr;
+  obs::MetricsRegistry* registry = nullptr;
+  const server::LineServer* server = nullptr;  ///< queue, shed, drain state
   const cluster::TwoPhaseParticipant* participant = nullptr;
+  uint16_t coord_port = 0;  ///< actual bound port, 0 when disabled
 };
 
 const char* LivenessName(PeerLiveness s) {
@@ -331,12 +303,9 @@ const char* LivenessName(PeerLiveness s) {
   return "unknown";
 }
 
-std::string HandleCommand(const std::string& line, TardisStore* store,
-                          ClientSession* session, Replicator* replicator,
-                          TcpTransport* transport, uint32_t site,
-                          obs::MetricsRegistry* registry, DaemonShared* shared,
-                          bool* close_conn, bool* shutdown,
-                          const SessionHeader* sess = nullptr) {
+std::string HandleCommand(const std::string& line, const Daemon& d,
+                          ClientSession* session, bool* close_conn,
+                          bool* shutdown, const SessionHeader* sess = nullptr) {
   std::stringstream ss(line);
   std::string cmd;
   ss >> cmd;
@@ -348,7 +317,7 @@ std::string HandleCommand(const std::string& line, TardisStore* store,
     std::getline(ss, value);
     if (!value.empty() && value[0] == ' ') value.erase(0, 1);
     if (key.empty()) return "ERR usage: put <key> <value>";
-    auto txn = store->Begin(session);
+    auto txn = d.store->Begin(session);
     if (!txn.ok()) return "ERR " + txn.status().ToString();
     const bool tagged = sess != nullptr && sess->write();
     if (tagged) (*txn)->SetSessionTag(sess->session_id, sess->seq);
@@ -365,7 +334,7 @@ std::string HandleCommand(const std::string& line, TardisStore* store,
   if (cmd == "get") {
     std::string key;
     ss >> key;
-    auto txn = store->Begin(session);
+    auto txn = d.store->Begin(session);
     if (!txn.ok()) return "ERR " + txn.status().ToString();
     std::string value;
     Status s = (*txn)->Get(key, &value);
@@ -376,22 +345,22 @@ std::string HandleCommand(const std::string& line, TardisStore* store,
   if (cmd == "merge") {
     std::string strategy = "lww";
     ss >> strategy;
-    return DoMerge(store, session, strategy);
+    return DoMerge(d.store, session, strategy);
   }
   if (cmd == "leaves") {
-    return "LEAVES " + std::to_string(store->dag()->Leaves().size());
+    return "LEAVES " + std::to_string(d.store->dag()->Leaves().size());
   }
   if (cmd == "states") {
-    return "STATES " + std::to_string(store->dag()->state_count());
+    return "STATES " + std::to_string(d.store->dag()->state_count());
   }
   if (cmd == "sync") {
-    replicator->RequestSync();
+    d.replicator->RequestSync();
     return "OK";
   }
   if (cmd == "peers") {
     uint32_t connected = 0;
-    for (uint32_t s = 0; s < transport->num_sites(); s++) {
-      if (s != site && transport->IsConnected(s)) connected++;
+    for (uint32_t s = 0; s < d.transport->num_sites(); s++) {
+      if (s != d.config->site && d.transport->IsConnected(s)) connected++;
     }
     return "PEERS " + std::to_string(connected);
   }
@@ -404,36 +373,38 @@ std::string HandleCommand(const std::string& line, TardisStore* store,
     //   PEER <id> state=<alive|suspect|dead> connected=<0|1>
     //        last_heard_tick=<n> flaps=<n>
     //   FLOOR <origin> <seq>
-    std::string out = "SITE " + std::to_string(site);
-    out += " tick=" + std::to_string(replicator->tick_count());
-    out += " queue=" + std::to_string(shared->queue_depth.load());
-    out += " workers=" + std::to_string(shared->workers);
-    out += " shed=" + std::to_string(shared->shed_total.load());
-    out += " expired=" + std::to_string(shared->deadline_expired_total.load());
-    out += " draining=" + std::to_string(shared->draining.load() ? 1 : 0);
-    out += " pending=" + std::to_string(replicator->pending_count());
-    out += " deferred_gc=" + std::to_string(replicator->deferred_consent_count());
+    std::string out = "SITE " + std::to_string(d.config->site);
+    out += " tick=" + std::to_string(d.replicator->tick_count());
+    const server::LineServer& srv = *d.server;
+    out += " queue=" + std::to_string(srv.queue_depth());
+    out += " workers=" + std::to_string(d.config->serving.workers);
+    out += " shed=" + std::to_string(srv.shed_total());
+    out += " expired=" + std::to_string(srv.expired_total());
+    out += " draining=" + std::to_string(srv.draining() ? 1 : 0);
+    out += " pending=" + std::to_string(d.replicator->pending_count());
+    out += " deferred_gc=" +
+           std::to_string(d.replicator->deferred_consent_count());
     // Appended fields only (drivers match on the prefix fields above).
-    out += " metrics_port=" + std::to_string(shared->metrics_port);
-    out += " queue_bound=" + std::to_string(shared->queue_bound);
-    out += " partition=" + std::to_string(shared->partition);
-    out += " coord_port=" + std::to_string(shared->coord_port);
+    out += " metrics_port=" + std::to_string(d.config->metrics_port);
+    out += " queue_bound=" + std::to_string(d.config->serving.max_queue);
+    out += " partition=" + std::to_string(d.config->partition);
+    out += " coord_port=" + std::to_string(d.coord_port);
     out += " twopc_in_doubt=" +
-           std::to_string(shared->participant != nullptr
-                              ? shared->participant->in_doubt_count()
+           std::to_string(d.participant != nullptr
+                              ? d.participant->in_doubt_count()
                               : 0);
-    out += std::string(" backend=") + store->backend_name();
+    out += std::string(" backend=") + d.store->backend_name();
     out += "\n";
-    for (const Replicator::PeerHealth& p : replicator->PeerStates()) {
+    for (const Replicator::PeerHealth& p : d.replicator->PeerStates()) {
       out += "PEER " + std::to_string(p.site);
       out += std::string(" state=") + LivenessName(p.state);
       out += " connected=" +
-             std::to_string(transport->IsConnected(p.site) ? 1 : 0);
+             std::to_string(d.transport->IsConnected(p.site) ? 1 : 0);
       out += " last_heard_tick=" + std::to_string(p.last_heard_tick);
       out += " flaps=" + std::to_string(p.flaps);
       out += "\n";
     }
-    for (const auto& [origin, seq] : replicator->AppliedFloors()) {
+    for (const auto& [origin, seq] : d.replicator->AppliedFloors()) {
       out += "FLOOR " + std::to_string(origin) + " " + std::to_string(seq) +
              "\n";
     }
@@ -442,14 +413,14 @@ std::string HandleCommand(const std::string& line, TardisStore* store,
   if (cmd == "isolate") {
     uint32_t peer = 0;
     // Failed extraction zeroes the value; test the stream, not a sentinel.
-    if (!(ss >> peer) || peer >= transport->num_sites()) {
+    if (!(ss >> peer) || peer >= d.transport->num_sites()) {
       return "ERR usage: isolate <site>";
     }
-    transport->Partition(site, peer);
+    d.transport->Partition(d.config->site, peer);
     return "OK";
   }
   if (cmd == "heal") {
-    transport->HealAll();
+    d.transport->HealAll();
     return "OK";
   }
   if (cmd == "metrics" || cmd == "stats") {
@@ -457,7 +428,7 @@ std::string HandleCommand(const std::string& line, TardisStore* store,
     // where the dump stops.
     std::string format = cmd == "stats" ? "table" : "prom";
     ss >> format;
-    const std::vector<obs::Sample> samples = registry->Collect();
+    const std::vector<obs::Sample> samples = d.registry->Collect();
     std::string body = format == "table" ? obs::RenderTable(samples)
                                          : obs::RenderPrometheus(samples);
     if (!body.empty() && body.back() != '\n') body.push_back('\n');
@@ -519,91 +490,78 @@ std::string HandleCommand(const std::string& line, TardisStore* store,
 /// (ERR BEHIND unless stale-ok), answers retried sessioned writes from
 /// the dedup table, and prefixes sessioned replies with this site's
 /// floor token.
-std::string ExecuteSessionLine(std::string line, TardisStore* store,
-                               ClientSession* session,
-                               Replicator* replicator,
-                               TcpTransport* transport, uint32_t site,
-                               obs::MetricsRegistry* registry,
-                               DaemonShared* shared, bool* close_conn,
+std::string ExecuteSessionLine(std::string line, const Daemon& d,
+                               ClientSession* session, bool* close_conn,
                                bool* shutdown) {
   SessionHeader sess;
   const SessionHeaderStatus hs = StripSessionHeader(&line, &sess);
   if (hs == SessionHeaderStatus::kMalformed) {
-    store->session_dedup()->IncrementRejected();
+    d.store->session_dedup()->IncrementRejected();
     return "ERR HEADER malformed or oversized session header; retry with "
            "a valid *S token";
   }
   if (hs == SessionHeaderStatus::kAbsent) {
-    return HandleCommand(line, store, session, replicator, transport, site,
-                         registry, shared, close_conn, shutdown);
+    return HandleCommand(line, d, session, close_conn, shutdown);
   }
 
   // Read-your-writes / monotonic reads: this site must have applied
   // everything the session has already seen, unless the client opted
   // into bounded staleness for this request.
   if (!sess.stale_ok() &&
-      !SessionFloorsCovered(sess, site, store->dag()->local_seq(),
-                            replicator->AppliedFloors())) {
+      !SessionFloorsCovered(sess, d.config->site, d.store->dag()->local_seq(),
+                            d.replicator->AppliedFloors())) {
     return "ERR BEHIND site missing session writes; retry elsewhere";
   }
 
   std::string reply;
   GlobalStateId prior;
   if (sess.write() && sess.seq != 0 &&
-      store->session_dedup()->Lookup(sess.session_id, sess.seq, &prior)) {
+      d.store->session_dedup()->Lookup(sess.session_id, sess.seq, &prior)) {
     // Retried write already applied (here or at its origin): answer the
     // original outcome instead of minting a sibling branch.
     reply = "OK STATE " + prior.ToString();
   } else {
-    reply = HandleCommand(line, store, session, replicator, transport, site,
-                          registry, shared, close_conn, shutdown, &sess);
+    reply = HandleCommand(line, d, session, close_conn, shutdown, &sess);
   }
 
   // Tell the client how far this site has caught up, so its next request
   // carries floors that hold its reads monotonic across failover.
-  std::map<uint32_t, uint64_t> floors = replicator->AppliedFloors();
-  uint64_t& mine = floors[site];
-  const uint64_t local = store->dag()->local_seq();
+  std::map<uint32_t, uint64_t> floors = d.replicator->AppliedFloors();
+  uint64_t& mine = floors[d.config->site];
+  const uint64_t local = d.store->dag()->local_seq();
   if (local > mine) mine = local;
   return FormatFloorToken(floors) + " " + reply;
 }
 
-// ---- request pipeline -----------------------------------------------------
-
-struct Request {
-  uint64_t conn_id = 0;
-  std::string line;
-  std::shared_ptr<ClientSession> session;
-  uint64_t enqueued_ms = 0;
-  uint64_t enqueued_us = 0;  ///< NowMicros() twin for the queue_wait stage
-};
-
-struct Completion {
-  uint64_t conn_id = 0;
-  std::string reply;
-  bool close_conn = false;
-  bool shutdown = false;
-};
-
-struct ClientConn {
-  int fd = -1;
-  std::string inbuf;
-  std::string outbuf;
-  size_t out_off = 0;
-  std::shared_ptr<ClientSession> session;
-  bool busy = false;         ///< one request in the pipeline (strict order)
-  bool close_after_flush = false;
-};
-
-/// SIGTERM/SIGINT land here; the handler only writes one byte (async-
-/// signal-safe) to wake the poll loop into its drain path.
-int g_signal_pipe_w = -1;
-void OnTermSignal(int) {
-  const char b = 1;
-  if (g_signal_pipe_w >= 0) {
-    ssize_t ignored = write(g_signal_pipe_w, &b, 1);
-    (void)ignored;
+/// The client-port handler of one connection: runs each request inside a
+/// stage breakdown, so a --slow-ms overrun can log where the time went.
+server::LineReply ServeClientLine(const server::LineRequest& req,
+                                  const Daemon& d, ClientSession* session) {
+  obs::StageBreakdown breakdown;
+  obs::StageCollectorScope collect(&breakdown);
+  const uint64_t start_us = NowMicros();
+  breakdown.Note("queue_wait", req.queue_wait_us);
+  obs::TraceSpan::Emit("stage", "queue_wait", req.enqueued_us,
+                       req.queue_wait_us);
+  server::LineReply reply;
+  {
+    TARDIS_TRACE_SPAN("daemon", "request");
+    reply.text = ExecuteSessionLine(req.line, d, session, &reply.close_conn,
+                                    &reply.shutdown);
   }
+  const uint64_t total_us = NowMicros() - start_us;
+  if (d.config->slow_ms > 0 && total_us >= d.config->slow_ms * 1000) {
+    const std::string cmd = req.line.substr(0, req.line.find(' '));
+    TARDIS_WARN(
+        "site %u: slow request cmd=%s trace=%016llx total=%lluus "
+        "queue_wait=%lluus stages: %s",
+        d.config->site, cmd.c_str(),
+        static_cast<unsigned long long>(obs::CurrentTraceContext().trace_id),
+        static_cast<unsigned long long>(total_us),
+        static_cast<unsigned long long>(req.queue_wait_us),
+        breakdown.Format().c_str());
+  }
+  return reply;
 }
 
 int RunDaemon(const DaemonConfig& config) {
@@ -659,24 +617,25 @@ int RunDaemon(const DaemonConfig& config) {
   }
   replicator.Start();
 
-  DaemonShared shared;
-  shared.workers = config.workers;
-  registry->RegisterCallbackGauge(
-      "tardisd_queue_depth", "Client requests waiting for a worker",
-      [&shared] { return static_cast<int64_t>(shared.queue_depth.load()); },
-      {{"site", std::to_string(config.site)}}, &shared);
-  obs::Counter* shed_counter = registry->RegisterCounter(
-      "tardisd_shed_total", "Client requests rejected because the queue was full",
-      {{"site", std::to_string(config.site)}});
-  obs::Counter* expired_counter = registry->RegisterCounter(
-      "tardisd_deadline_expired_total",
-      "Client requests expired in the queue past the request deadline",
-      {{"site", std::to_string(config.site)}});
-  obs::HistogramMetric* queue_wait_stage =
-      obs::RegisterStageHistogram(registry.get(), "queue_wait");
-  shared.metrics_port = config.metrics_port;
-  shared.queue_bound = config.max_queue;
-  shared.partition = config.partition;
+  Daemon daemon;
+  daemon.config = &config;
+  daemon.store = store->get();
+  daemon.replicator = &replicator;
+  daemon.transport = transport->get();
+  daemon.registry = registry.get();
+  // The client port: one LineServer (bounded queue, deadlines, drain)
+  // with a ClientSession per connection.
+  server::LineServer client_server(config.serving, [&] {
+    std::shared_ptr<ClientSession> session = (*store)->CreateSession();
+    return [&, session](const server::LineRequest& req) {
+      return ServeClientLine(req, daemon, session.get());
+    };
+  });
+  client_server.BindMetrics(registry.get(), "tardisd",
+                            {{"site", std::to_string(config.site)}},
+                            obs::RegisterStageHistogram(registry.get(),
+                                                        "queue_wait"));
+  daemon.server = &client_server;
 
   // Partition-grid membership: a coordination endpoint (router traffic +
   // cross-partition 2PC) next to the client port. The participant's
@@ -714,7 +673,7 @@ int RunDaemon(const DaemonConfig& config) {
               recover_status.ToString().c_str());
       return 1;
     }
-    shared.participant = participant.get();
+    daemon.participant = participant.get();
 
     coord_session = (*store)->CreateSession();
     cluster::CoordServerOptions coord_options;
@@ -723,10 +682,8 @@ int RunDaemon(const DaemonConfig& config) {
     coord_options.execute = [&, coord_session](const std::string& line) {
       bool ignored_close = false;
       bool ignored_shutdown = false;
-      return ExecuteSessionLine(line, store->get(), coord_session.get(),
-                                &replicator, transport->get(), config.site,
-                                registry.get(), &shared, &ignored_close,
-                                &ignored_shutdown);
+      return ExecuteSessionLine(line, daemon, coord_session.get(),
+                                &ignored_close, &ignored_shutdown);
     };
     auto server = cluster::CoordServer::Start(
         store->get(), participant.get(), std::move(coord_options));
@@ -736,23 +693,14 @@ int RunDaemon(const DaemonConfig& config) {
       return 1;
     }
     coord_server = std::move(*server);
-    shared.coord_port = coord_server->listen_port();
+    daemon.coord_port = coord_server->listen_port();
   }
 
-  const int server_fd = socket(AF_INET, SOCK_STREAM, 0);
-  int one = 1;
-  setsockopt(server_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
-  addr.sin_port = htons(config.client_port);
-  if (bind(server_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(server_fd, 64) != 0) {
-    fprintf(stderr, "tardisd: client port %u: %s\n", config.client_port,
-            strerror(errno));
+  Status listen_status = client_server.Listen();
+  if (!listen_status.ok()) {
+    fprintf(stderr, "tardisd: client %s\n", listen_status.ToString().c_str());
     return 1;
   }
-  SetNonBlocking(server_fd);
   std::unique_ptr<obs::MetricsHttpExporter> metrics_http;
   if (config.metrics_port != 0) {
     // registry outlives the exporter (reset before the final flush below).
@@ -761,113 +709,12 @@ int RunDaemon(const DaemonConfig& config) {
     if (!metrics_http->serving()) return 1;
   }
 
-  // Request queue + completion queue.
-  std::mutex queue_mu;
-  std::condition_variable queue_cv;
-  std::deque<Request> queue;
-  bool workers_stop = false;
-
-  std::mutex done_mu;
-  std::deque<Completion> done;
-  int done_pipe[2];
-  if (pipe(done_pipe) != 0) {
-    fprintf(stderr, "tardisd: pipe: %s\n", strerror(errno));
-    return 1;
-  }
-  SetNonBlocking(done_pipe[0]);
-
-  int sig_pipe[2];
-  if (pipe(sig_pipe) != 0) {
-    fprintf(stderr, "tardisd: pipe: %s\n", strerror(errno));
-    return 1;
-  }
-  SetNonBlocking(sig_pipe[0]);
-  g_signal_pipe_w = sig_pipe[1];
-  struct sigaction sa{};
-  sa.sa_handler = OnTermSignal;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-  signal(SIGPIPE, SIG_IGN);
-
-  auto post_completion = [&](Completion c) {
-    {
-      std::lock_guard<std::mutex> guard(done_mu);
-      done.push_back(std::move(c));
-    }
-    const char b = 1;
-    ssize_t ignored = write(done_pipe[1], &b, 1);
-    (void)ignored;
-  };
-
-  std::vector<std::thread> workers;
-  for (uint32_t w = 0; w < config.workers; w++) {
-    workers.emplace_back([&] {
-      while (true) {
-        Request req;
-        {
-          std::unique_lock<std::mutex> lock(queue_mu);
-          queue_cv.wait(lock, [&] { return workers_stop || !queue.empty(); });
-          if (workers_stop && queue.empty()) return;
-          req = std::move(queue.front());
-          queue.pop_front();
-        }
-        shared.queue_depth.fetch_sub(1);
-        Completion c;
-        c.conn_id = req.conn_id;
-        if (config.request_deadline_ms > 0 &&
-            NowMs() - req.enqueued_ms > config.request_deadline_ms) {
-          // The request aged out while queued; answering it now would just
-          // add latency on top of overload. Tell the client to retry.
-          shared.deadline_expired_total.fetch_add(1);
-          expired_counter->Increment();
-          c.reply = "ERR DEADLINE request expired in queue; retry";
-        } else {
-          // A leading "*T..." token is the caller's distributed-trace
-          // context: bind it so every span and stage below joins that
-          // trace. A corrupt header is stripped and the request runs
-          // untraced.
-          obs::TraceContext ctx;
-          obs::StripTraceHeader(&req.line, &ctx);
-          obs::TraceContextScope bind_trace(ctx);
-          obs::StageBreakdown breakdown;
-          obs::StageCollectorScope collect(&breakdown);
-          const uint64_t start_us = NowMicros();
-          const uint64_t wait_us =
-              start_us >= req.enqueued_us ? start_us - req.enqueued_us : 0;
-          queue_wait_stage->Observe(wait_us);
-          breakdown.Note("queue_wait", wait_us);
-          obs::TraceSpan::Emit("stage", "queue_wait", req.enqueued_us,
-                               wait_us);
-          {
-            TARDIS_TRACE_SPAN("daemon", "request");
-            c.reply = ExecuteSessionLine(
-                req.line, store->get(), req.session.get(), &replicator,
-                transport->get(), config.site, registry.get(), &shared,
-                &c.close_conn, &c.shutdown);
-          }
-          const uint64_t total_us = NowMicros() - start_us;
-          if (config.slow_ms > 0 && total_us >= config.slow_ms * 1000) {
-            const std::string cmd = req.line.substr(0, req.line.find(' '));
-            TARDIS_WARN(
-                "site %u: slow request cmd=%s trace=%016llx total=%lluus "
-                "queue_wait=%lluus stages: %s",
-                config.site, cmd.c_str(),
-                static_cast<unsigned long long>(ctx.trace_id),
-                static_cast<unsigned long long>(total_us),
-                static_cast<unsigned long long>(wait_us),
-                breakdown.Format().c_str());
-          }
-        }
-        post_completion(std::move(c));
-      }
-    });
-  }
+  client_server.DrainOnTermSignals();
 
   printf("tardisd: site %u serving clients on port %u, replication on %u, "
          "queue bound %zu",
-         config.site, config.client_port, (*transport)->listen_port(),
-         config.max_queue);
+         config.site, config.serving.port, (*transport)->listen_port(),
+         config.serving.max_queue);
   if (config.metrics_port != 0) {
     printf(", metrics on http port %u", config.metrics_port);
   }
@@ -879,232 +726,12 @@ int RunDaemon(const DaemonConfig& config) {
   printf("\n");
   fflush(stdout);
 
-  std::map<uint64_t, ClientConn> conns;
-  uint64_t next_conn_id = 1;
-  bool listening = true;
-  uint64_t drain_deadline_ms = 0;
-  constexpr size_t kMaxInbuf = 1u << 20;  // a hostile client cannot OOM us
+  client_server.Run();
 
-  auto begin_drain = [&] {
-    if (shared.draining.exchange(true)) return;
-    TARDIS_INFO("site %u: draining (listen closed, %zu queued)", config.site,
-                queue.size());
-    if (listening) {
-      close(server_fd);
-      listening = false;
-    }
-    drain_deadline_ms = NowMs() + 10'000;
-  };
-
-  // Parses complete lines off a connection's inbuf; dispatches at most one
-  // request at a time per connection so replies stay in order.
-  auto pump_conn = [&](uint64_t id, ClientConn& conn) {
-    while (!conn.busy && !conn.close_after_flush) {
-      const size_t nl = conn.inbuf.find('\n');
-      if (nl == std::string::npos) break;
-      std::string line = conn.inbuf.substr(0, nl);
-      conn.inbuf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      if (shared.draining.load()) {
-        conn.outbuf += "ERR SHUTTING_DOWN site draining; retry elsewhere\n";
-        continue;
-      }
-      bool shed = false;
-      {
-        std::lock_guard<std::mutex> guard(queue_mu);
-        if (queue.size() >= config.max_queue) {
-          shed = true;
-        } else {
-          Request req;
-          req.conn_id = id;
-          req.line = std::move(line);
-          req.session = conn.session;
-          req.enqueued_ms = NowMs();
-          req.enqueued_us = NowMicros();
-          queue.push_back(std::move(req));
-        }
-      }
-      if (shed) {
-        // Load shedding: bounded queue, retryable refusal. The client
-        // backs off and resends instead of the daemon buffering without
-        // limit.
-        shared.shed_total.fetch_add(1);
-        shed_counter->Increment();
-        conn.outbuf += "ERR BUSY queue full; retry\n";
-        continue;
-      }
-      shared.queue_depth.fetch_add(1);
-      shared.requests_total.fetch_add(1);
-      conn.busy = true;
-      queue_cv.notify_one();
-    }
-  };
-
-  bool exiting = false;
-  while (!exiting) {
-    std::vector<pollfd> pfds;
-    std::vector<uint64_t> conn_ids;
-    pfds.push_back({sig_pipe[0], POLLIN, 0});
-    pfds.push_back({done_pipe[0], POLLIN, 0});
-    pfds.push_back({listening ? server_fd : -1, POLLIN, 0});
-    for (auto& [id, conn] : conns) {
-      short events = POLLIN;
-      if (conn.out_off < conn.outbuf.size()) events |= POLLOUT;
-      pfds.push_back({conn.fd, events, 0});
-      conn_ids.push_back(id);
-    }
-
-    const int rc = poll(pfds.data(), pfds.size(), 100);
-    if (rc < 0 && errno != EINTR) {
-      TARDIS_WARN("site %u: poll: %s", config.site, strerror(errno));
-    }
-
-    if (pfds[0].revents & POLLIN) {  // SIGTERM/SIGINT
-      char buf[16];
-      while (read(sig_pipe[0], buf, sizeof(buf)) > 0) {
-      }
-      begin_drain();
-    }
-
-    if (pfds[1].revents & POLLIN) {  // worker completions
-      char buf[64];
-      while (read(done_pipe[0], buf, sizeof(buf)) > 0) {
-      }
-      std::deque<Completion> finished;
-      {
-        std::lock_guard<std::mutex> guard(done_mu);
-        finished.swap(done);
-      }
-      for (Completion& c : finished) {
-        if (c.shutdown) begin_drain();
-        auto it = conns.find(c.conn_id);
-        if (it == conns.end()) continue;  // client went away mid-request
-        ClientConn& conn = it->second;
-        conn.busy = false;
-        conn.outbuf += c.reply;
-        conn.outbuf.push_back('\n');
-        if (c.close_conn) conn.close_after_flush = true;
-        pump_conn(c.conn_id, conn);
-      }
-    }
-
-    if (listening && (pfds[2].revents & POLLIN)) {
-      while (true) {
-        const int fd = accept(server_fd, nullptr, nullptr);
-        if (fd < 0) break;
-        SetNonBlocking(fd);
-        ClientConn conn;
-        conn.fd = fd;
-        conn.session = (*store)->CreateSession();
-        conns.emplace(next_conn_id++, std::move(conn));
-      }
-    }
-
-    std::vector<uint64_t> to_close;
-    for (size_t p = 3; p < pfds.size(); p++) {
-      const uint64_t id = conn_ids[p - 3];
-      auto it = conns.find(id);
-      if (it == conns.end()) continue;
-      ClientConn& conn = it->second;
-      const short revents = pfds[p].revents;
-      if (revents & (POLLERR | POLLHUP)) {
-        // POLLHUP with pending output: try to flush once below anyway.
-        if (conn.out_off >= conn.outbuf.size()) {
-          to_close.push_back(id);
-          continue;
-        }
-      }
-      if (revents & POLLIN) {
-        char chunk[65536];
-        bool eof = false;
-        while (true) {
-          const ssize_t n = read(conn.fd, chunk, sizeof(chunk));
-          if (n > 0) {
-            conn.inbuf.append(chunk, static_cast<size_t>(n));
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          eof = true;
-          break;
-        }
-        if (conn.inbuf.size() > kMaxInbuf) {
-          conn.outbuf += "ERR line too long\n";
-          conn.close_after_flush = true;
-        } else {
-          pump_conn(id, conn);
-        }
-        if (eof && !conn.busy && conn.out_off >= conn.outbuf.size()) {
-          to_close.push_back(id);
-          continue;
-        }
-        if (eof) conn.close_after_flush = true;
-      }
-      if (conn.out_off < conn.outbuf.size()) {
-        while (conn.out_off < conn.outbuf.size()) {
-          const ssize_t n = write(conn.fd, conn.outbuf.data() + conn.out_off,
-                                  conn.outbuf.size() - conn.out_off);
-          if (n > 0) {
-            conn.out_off += static_cast<size_t>(n);
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          to_close.push_back(id);
-          break;
-        }
-        if (conn.out_off >= conn.outbuf.size()) {
-          conn.outbuf.clear();
-          conn.out_off = 0;
-          if (conn.close_after_flush && !conn.busy) to_close.push_back(id);
-        }
-      } else if (conn.close_after_flush && !conn.busy) {
-        to_close.push_back(id);
-      }
-    }
-    for (uint64_t id : to_close) {
-      auto it = conns.find(id);
-      if (it == conns.end()) continue;
-      close(it->second.fd);
-      conns.erase(it);
-    }
-
-    if (shared.draining.load()) {
-      bool queue_empty;
-      {
-        std::lock_guard<std::mutex> guard(queue_mu);
-        queue_empty = queue.empty();
-      }
-      bool anyone_busy = false;
-      bool output_pending = false;
-      for (auto& [id, conn] : conns) {
-        (void)id;
-        if (conn.busy) anyone_busy = true;
-        if (conn.out_off < conn.outbuf.size()) output_pending = true;
-      }
-      if ((queue_empty && !anyone_busy && !output_pending) ||
-          NowMs() >= drain_deadline_ms) {
-        exiting = true;
-      }
-    }
-  }
-
-  // Drain epilogue: stop the workers, persist everything local, and give
-  // the transport a moment to push out the final gossip so peers do not
-  // need anti-entropy for what we already acknowledged.
-  {
-    std::lock_guard<std::mutex> guard(queue_mu);
-    workers_stop = true;
-  }
-  queue_cv.notify_all();
-  for (std::thread& w : workers) w.join();
-  for (auto& [id, conn] : conns) {
-    (void)id;
-    close(conn.fd);
-  }
-  conns.clear();
-  if (listening) close(server_fd);
+  // Drain epilogue (the client port has drained and its workers are
+  // stopped): persist everything local, and give the transport a moment
+  // to push out the final gossip so peers do not need anti-entropy for
+  // what we already acknowledged.
   metrics_http.reset();
   // Coord traffic stops before the final flush; staged-but-undecided 2PC
   // transactions die with the process and are re-resolved from twopc.log
@@ -1116,17 +743,12 @@ int RunDaemon(const DaemonConfig& config) {
     TARDIS_WARN("site %u: final flush: %s", config.site,
                 flush_status.ToString().c_str());
   }
-  const uint64_t gossip_deadline = NowMs() + 2'000;
-  while ((*transport)->HasInflight() && NowMs() < gossip_deadline) {
+  const uint64_t gossip_deadline = NowMillis() + 2'000;
+  while ((*transport)->HasInflight() && NowMillis() < gossip_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   replicator.Stop();
   (*transport)->Shutdown();
-  close(done_pipe[0]);
-  close(done_pipe[1]);
-  g_signal_pipe_w = -1;
-  close(sig_pipe[0]);
-  close(sig_pipe[1]);
   TARDIS_INFO("site %u: drained, exiting", config.site);
   return 0;
 }
@@ -1154,8 +776,8 @@ int main(int argc, char** argv) {
             "or one of the in-memory backends mem (default without --dir)\n"
             "and trie, a copy-on-write trie (DESIGN.md section 12).\n"
             "--metrics-port serves the metrics registry as Prometheus text\n"
-            "over HTTP (0 = disabled); --max-queue bounds the client request\n"
-            "queue (requests past the bound are shed with ERR BUSY).\n"
+            "over HTTP (off when absent); --max-queue bounds the client\n"
+            "request queue (requests past the bound are shed with ERR BUSY).\n"
             "--partition/--coord-port enroll this site in a partitioned\n"
             "grid behind tardis-router (see DESIGN.md section 10);\n"
             "--twopc-resolve-ms is the in-doubt cooperative-resolution\n"

@@ -43,7 +43,8 @@
 // frames, a cross-partition 2PC commit, a chaos-injected conflict that
 // FORKS the affected partition's DAG and is merged back, and a router
 // SIGKILLed between prepare and decide whose in-doubt transaction the
-// participants resolve cooperatively, with no acknowledged write lost:
+// participants resolve cooperatively, with no acknowledged write lost,
+// then the router's deadline refusal and SIGTERM drain mid-2PC:
 //
 //   tardisd_driver --tardisd=./examples/tardisd
 //                  --router=./examples/tardis_router --grid
@@ -983,7 +984,10 @@ void FireAndForget(uint16_t port, const std::string& line) {
 ///   5. the router is SIGKILLed between prepare and decide: the
 ///      participants' cooperative termination presumes abort (nothing
 ///      was acknowledged), no previously acknowledged write is lost, and
-///      a replacement router on the same flags commits the retry.
+///      a replacement router on the same flags commits the retry;
+///   6. the router's serving contract: a request queued behind a held
+///      2PC past the 1 s deadline gets ERR DEADLINE, and SIGTERM during
+///      a held 2PC drains — the client gets OK TXN, the router exits 0.
 int RunGrid(const std::string& tardisd, const std::string& router_bin,
             const std::string& dir) {
   std::vector<pid_t> all_pids;
@@ -1226,9 +1230,66 @@ int RunGrid(const std::string& tardisd, const std::string& router_bin,
   }
   printf("== grid: replacement router committed the retried transaction\n");
 
-  kill(router_pid, SIGKILL);
-  waitpid(router_pid, nullptr, 0);
+  // 6. The router serves clients with tardisd's overload and drain
+  // contract, on one worker. A held 2PC occupies that worker; a ping
+  // queued behind it waits past the 1 s request deadline and is refused
+  // ERR DEADLINE (retryable) instead of running late.
+  if (Cmd(router_fd, "2pc_delay 1500") != "OK") Die("2pc_delay failed");
+  auto held_mput = [&](const std::string& line, std::string* reply) {
+    return std::thread([&, line, reply] {
+      const int fd = ConnectTo(router_port, 5'000);
+      if (fd < 0) Die("router connection for a held mput failed");
+      *reply = Cmd(fd, line);
+      close(fd);
+    });
+  };
+  std::string held_reply;
+  std::thread held = held_mput(
+      "mput " + keys[0][5] + " d0 " + keys[1][4] + " d1", &held_reply);
+  if (!WaitFor([&] { return in_doubt_at(0) >= 1 && in_doubt_at(1) >= 1; })) {
+    Die("held mput never reached prepare");
+  }
+  const std::string late_ping = Cmd(router_fd, "ping");
+  held.join();
+  if (late_ping.rfind("ERR DEADLINE", 0) != 0) {
+    Die("ping queued behind a held 2PC was not refused ERR DEADLINE: " +
+        late_ping);
+  }
+  if (held_reply.rfind("OK TXN ", 0) != 0) {
+    Die("held mput failed: " + held_reply);
+  }
+  printf("== grid: router refused a request queued past its deadline\n");
+
+  // SIGTERM while a held 2PC is in flight: the router drains — the
+  // client gets its OK TXN — and exits 0.
+  if (!WaitFor([&] { return in_doubt_at(0) == 0 && in_doubt_at(1) == 0; })) {
+    Die("held mput left a transaction in doubt");
+  }
+  std::string drained_reply;
+  std::thread drained = held_mput(
+      "mput " + keys[0][5] + " t0 " + keys[1][5] + " t1", &drained_reply);
+  if (!WaitFor([&] { return in_doubt_at(0) >= 1 && in_doubt_at(1) >= 1; })) {
+    Die("drained mput never reached prepare");
+  }
+  kill(router_pid, SIGTERM);
+  drained.join();
+  if (drained_reply.rfind("OK TXN ", 0) != 0) {
+    Die("in-flight mput not answered across the router's drain: " +
+        drained_reply);
+  }
+  int router_status = 0;
+  waitpid(router_pid, &router_status, 0);
+  if (!WIFEXITED(router_status) || WEXITSTATUS(router_status) != 0) {
+    Die("router did not drain and exit 0 on SIGTERM (status=" +
+        std::to_string(router_status) + ")");
+  }
   close(router_fd);
+  if (Cmd(groups[0].conns[0], "get " + keys[0][5]) != "VALUE t0" ||
+      Cmd(groups[1].conns[0], "get " + keys[1][5]) != "VALUE t1") {
+    Die("write acknowledged during the router's drain is missing");
+  }
+  printf("== grid: SIGTERM drained the router mid-2PC, exit 0\n");
+
   for (int p = 0; p < 2; p++) {
     for (size_t i = 0; i < 3; i++) Cmd(groups[p].conns[i], "shutdown");
   }
@@ -1455,7 +1516,8 @@ int main(int argc, char** argv) {
     // behind a stateless tardis-router.
     if (RunGrid(tardisd, router, dir) != 0) return 1;
     printf("PASS: partitioned cluster — fast path, cross-partition 2PC, "
-           "fork-on-conflict, router crash recovery\n");
+           "fork-on-conflict, router crash recovery, router deadline and "
+           "drain\n");
     return 0;
   }
   if (RunConvergence(tardisd) != 0) return 1;

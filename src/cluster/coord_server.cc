@@ -1,7 +1,6 @@
 #include "cluster/coord_server.h"
 
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -15,6 +14,7 @@
 #include "obs/trace.h"
 #include "util/clock.h"
 #include "util/logging.h"
+#include "util/socket.h"
 
 namespace tardis {
 namespace cluster {
@@ -66,30 +66,10 @@ void CoordServer::Shutdown() {
 }
 
 Status CoordServer::Listen() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError("socket: " + std::string(strerror(errno)));
-  }
-  int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
-  addr.sin_port = htons(options_.port);
-  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(listen_fd_, 16) != 0) {
-    Status s = Status::IOError("coord port " + std::to_string(options_.port) +
-                               ": " + strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    listen_port_ = ntohs(addr.sin_port);
-  }
-  const int flags = fcntl(listen_fd_, F_GETFL, 0);
-  if (flags >= 0) fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
+  auto listener = ListenTcp("", options_.port);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener->fd;
+  listen_port_ = listener->port;
   return Status::OK();
 }
 
@@ -194,8 +174,7 @@ void CoordServer::Serve() {
       while (true) {
         const int fd = accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) break;
-        const int flags = fcntl(fd, F_GETFL, 0);
-        if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+        SetNonBlocking(fd);
         int one = 1;
         setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         Conn c;

@@ -11,6 +11,7 @@
 #include "obs/exposition.h"
 #include "obs/stage.h"
 #include "obs/trace_stitch.h"
+#include "server/line_server.h"
 #include "util/clock.h"
 #include "util/logging.h"
 
@@ -405,16 +406,23 @@ std::string Router::ClusterMetrics() {
   return body + "END";
 }
 
+void Router::BindServingMetrics(server::LineServer* server) {
+  server->BindMetrics(
+      registry_, "tardis_router", {},
+      registry_->RegisterHistogram(
+          "tardis_router_queue_wait_us",
+          "Router client requests' wait for the worker, microseconds"));
+}
+
 std::string Router::Handle(const std::string& line, bool* close_conn) {
   *close_conn = false;
-  // An explicit client trace header wins; otherwise 1-in-N self-sampling
-  // starts a fresh trace at the cluster's front door. Either way the
-  // context is bound for the whole dispatch, so every span this thread
-  // records — and every coordination frame AttachTrace stamps — carries
-  // the same trace id across the grid.
+  // A client trace header (already bound by the server) wins; otherwise
+  // 1-in-N self-sampling starts a fresh trace at the cluster's front
+  // door. Either way the context is bound for the whole dispatch, so
+  // every span this thread records — and every coordination frame
+  // AttachTrace stamps — carries the same trace id across the grid.
   std::string cmd_line = line;
-  obs::TraceContext ctx;
-  obs::StripTraceHeader(&cmd_line, &ctx);
+  obs::TraceContext ctx = obs::CurrentTraceContext();
   if (!ctx.active() && sample_every_ > 0 && obs::Tracer::Get().enabled() &&
       ++sample_counter_ % sample_every_ == 0) {
     ctx.trace_id = obs::NewTraceId();

@@ -23,9 +23,11 @@
 // termination, not by the router. Killing the router at any point loses
 // no acknowledged write.
 //
-// Not thread-safe: the tardis-router binary serializes commands through
-// one handler thread (coordination traffic is not the data hot path —
-// that is the per-partition gossip mesh).
+// Not thread-safe: the tardis-router binary runs every command on the
+// single worker of its server::LineServer, which serializes them
+// (coordination traffic is not the data hot path — that is the
+// per-partition gossip mesh). The server also gives the router the same
+// overload, deadline and drain contract as tardisd.
 
 #ifndef TARDIS_CLUSTER_ROUTER_H_
 #define TARDIS_CLUSTER_ROUTER_H_
@@ -43,6 +45,9 @@
 #include "util/status.h"
 
 namespace tardis {
+namespace server {
+class LineServer;
+}  // namespace server
 namespace cluster {
 
 struct RouterOptions {
@@ -100,10 +105,11 @@ class Router {
   ///                                decide of subsequent 2PC commits
   ///   quit                      -> BYE
   ///
-  /// A request may carry a leading trace-context header token
-  /// ("*T<trace>/<span>/<flags>", obs::StripTraceHeader); the router then
+  /// The caller binds the request's trace context (server::LineServer
+  /// strips and binds a "*T<trace>/<span>/<flags>" header); the router
   /// logs its spans under that trace and propagates the context on every
-  /// coordination frame it sends.
+  /// coordination frame it sends. A request that arrives without one is
+  /// sampled 1-in-N into a fresh trace (trace_sample).
   ///
   /// After the trace header, a request may carry an exactly-once session
   /// header ("*S...", DESIGN.md §13). Forwarded get/put lines keep the
@@ -114,6 +120,12 @@ class Router {
   /// second one. A corrupt or oversized header is rejected with a
   /// retryable "ERR HEADER ..." (never silently stripped).
   std::string Handle(const std::string& line, bool* close_conn);
+
+  /// Registers `server`'s serving metrics on the router's registry under
+  /// router names (tardis_router_queue_depth, tardis_router_shed_total,
+  /// tardis_router_deadline_expired_total, tardis_router_queue_wait_us),
+  /// apart from the daemons' tardisd_* series that `metrics cluster` sums.
+  void BindServingMetrics(server::LineServer* server);
 
   const PartitionMap& map() const { return map_; }
 

@@ -1,7 +1,5 @@
 #include "net/tcp_transport.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -10,29 +8,18 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "fault/fault_points.h"
 #include "fault/fault_registry.h"
 #include "net/wire.h"
+#include "util/clock.h"
 #include "util/logging.h"
+#include "util/socket.h"
 
 namespace tardis {
 
 namespace {
-
-uint64_t NowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-void SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 void SetNoDelay(int fd) {
   int one = 1;
@@ -78,33 +65,10 @@ StatusOr<std::unique_ptr<TcpTransport>> TcpTransport::Open(
 }
 
 Status TcpTransport::Listen() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError("socket: " + std::string(strerror(errno)));
-  }
-  int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.listen_port);
-  if (inet_pton(AF_INET, options_.listen_host.c_str(), &addr.sin_addr) != 1) {
-    addr.sin_addr.s_addr = INADDR_ANY;
-  }
-  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError("bind port " + std::to_string(options_.listen_port) +
-                           ": " + strerror(errno));
-  }
-  if (listen(listen_fd_, 64) != 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError("listen: " + std::string(strerror(errno)));
-  }
-  socklen_t len = sizeof(addr);
-  getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  listen_port_ = ntohs(addr.sin_port);
-  SetNonBlocking(listen_fd_);
+  auto listener = ListenTcp(options_.listen_host, options_.listen_port);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener->fd;
+  listen_port_ = listener->port;
   return Status::OK();
 }
 
@@ -442,7 +406,7 @@ void TcpTransport::IoLoop() {
   std::vector<std::pair<int, size_t>> index;
 
   while (!stop_.load(std::memory_order_acquire)) {
-    const uint64_t now = NowMs();
+    const uint64_t now = NowMillis();
     int timeout_ms = 50;
 
     pfds.clear();
@@ -504,7 +468,7 @@ void TcpTransport::IoLoop() {
     }
 
     std::lock_guard<std::mutex> guard(mu_);
-    const uint64_t after = NowMs();
+    const uint64_t after = NowMillis();
     for (size_t p = 2; p < pfds.size(); p++) {
       const auto [kind, i] = index[p - 2];
       const short revents = pfds[p].revents;

@@ -1,7 +1,6 @@
 #include "obs/http_exporter.h"
 
 #include <errno.h>
-#include <netinet/in.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -9,6 +8,7 @@
 #include <cstdio>
 
 #include "obs/exposition.h"
+#include "util/socket.h"
 
 namespace tardis {
 namespace obs {
@@ -17,21 +17,13 @@ MetricsHttpExporter::MetricsHttpExporter(uint16_t port,
                                          const MetricsRegistry* registry,
                                          const std::string& who)
     : registry_(registry) {
-  fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  int one = 1;
-  setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
-  addr.sin_port = htons(port);
-  if (bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(fd_, 8) != 0) {
-    fprintf(stderr, "%s: metrics port %u: %s\n", who.c_str(), port,
-            strerror(errno));
-    close(fd_);
-    fd_ = -1;
+  auto listener = ListenTcp("", port, /*blocking=*/true);
+  if (!listener.ok()) {
+    fprintf(stderr, "%s: metrics endpoint: %s\n", who.c_str(),
+            listener.status().ToString().c_str());
     return;
   }
+  fd_ = listener->fd;
   serving_ = true;
   thread_ = std::thread([this] { Serve(); });
 }

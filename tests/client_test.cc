@@ -2,8 +2,9 @@
 // exactly-once session headers, failover, floor learning and degraded
 // reads — first against an in-process scripted server (deterministic
 // wire-level assertions), then the ERR BUSY / ERR DEADLINE retry
-// contract against a real tardisd with a tiny queue bound (set
-// TARDISD_BIN; skipped when absent).
+// contract against a real tardisd with a tiny queue bound, and its
+// rejection of an out-of-range port flag (set TARDISD_BIN; skipped when
+// absent).
 
 #include "client/tardis_client.h"
 
@@ -476,6 +477,41 @@ TEST(TardisClientDaemonTest, ClientDeadlinePropagates) {
   EXPECT_FALSE(s.ok());
   EXPECT_LT(NowMillis() - start, 2500u);
   ::close(pin);
+}
+
+TEST(TardisClientDaemonTest, OutOfRangePortFlagIsAUsageError) {
+  const char* bin = ::getenv("TARDISD_BIN");
+  if (bin == nullptr || bin[0] == '\0') GTEST_SKIP() << "TARDISD_BIN not set";
+  int probe = -1;
+  const uint16_t repl_port = BindAny(&probe);
+  ::close(probe);
+  const std::string peers = "--peers=127.0.0.1:" + std::to_string(repl_port) +
+                            ",127.0.0.1:" + std::to_string(repl_port + 1);
+  // 70000 used to wrap to port 4464 and serve there; now it is refused
+  // with the usage exit code before anything binds.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    freopen("/dev/null", "w", stdout);
+    freopen("/dev/null", "w", stderr);
+    execl(bin, "tardisd", "--site=0", peers.c_str(), "--client-port=70000",
+          static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  int status = 0;
+  pid_t waited = 0;
+  const uint64_t deadline = NowMillis() + 10'000;
+  while ((waited = waitpid(pid, &status, WNOHANG)) == 0 &&
+         NowMillis() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  if (waited == 0) {  // still serving: the flag was accepted
+    kill(pid, SIGKILL);
+    waitpid(pid, nullptr, 0);
+    FAIL() << "tardisd accepted --client-port=70000";
+  }
+  ASSERT_TRUE(WIFEXITED(status)) << "tardisd did not exit normally";
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "core/tardis_store.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "server/line_server.h"
 
 namespace {
 
@@ -52,6 +53,13 @@ const char* kExpectedNames[] = {
     // here too because both sides share the tardis_2pc_* names
     // (distinguished by the role label).
     "tardis_router_requests",
+    // The router's serving layer (server::LineServer, DESIGN.md §6.3),
+    // named apart from tardisd's tardisd_* series so `metrics cluster`
+    // never folds router queueing into the daemons' numbers.
+    "tardis_router_queue_depth",
+    "tardis_router_shed_total",
+    "tardis_router_deadline_expired_total",
+    "tardis_router_queue_wait_us",
     "tardis_2pc_prepares",
     "tardis_2pc_forked_commits",
     "tardis_2pc_in_doubt",
@@ -162,6 +170,11 @@ int main() {
   ropt.coord_endpoints = {"127.0.0.1:1", "127.0.0.1:2"};
   cluster::Router router(cluster::PartitionMap::Uniform(2), std::move(ropt),
                          store->metrics());
+  // The router binary's client server, bound exactly as tardis-router
+  // binds it (never started: binding alone registers the series).
+  server::LineServer router_server(
+      {}, [] { return server::LineServer::Handler(); });
+  router.BindServingMetrics(&router_server);
 
   // The client library's series (DESIGN.md §13): a TardisClient sharing
   // the store's registry. Construction alone registers the family — it

@@ -1,7 +1,9 @@
 // Unit tests for src/util: Status, Slice, coding, CRC-32C, histogram,
-// PRNG and Zipfian generators.
+// PRNG and Zipfian generators, port parsing and the TCP listen helper.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cmath>
 #include <map>
@@ -15,6 +17,7 @@
 #include "util/histogram.h"
 #include "util/random.h"
 #include "util/slice.h"
+#include "util/socket.h"
 #include "util/status.h"
 #include "util/zipf.h"
 
@@ -360,6 +363,34 @@ TEST(BackoffTest, JitterDegenerateRanges) {
     zero.Fail(0);
     EXPECT_LE(zero.delay_ms(), 5u);
   }
+}
+
+TEST(ParsePortTest, AcceptsOnlyDecimalPortsInRange) {
+  uint16_t port = 0;
+  EXPECT_TRUE(ParsePort("1", &port));
+  EXPECT_EQ(port, 1);
+  EXPECT_TRUE(ParsePort("65535", &port));
+  EXPECT_EQ(port, 65535);
+  EXPECT_TRUE(ParsePort("00080", &port));
+  EXPECT_EQ(port, 80);
+  // Values the old atoi+cast silently wrapped or truncated; a rejected
+  // value leaves the port as it was.
+  for (const char* bad : {"70000", "65536", "-1", "7000abc", "0", "", "+80",
+                          " 80", "123456"}) {
+    EXPECT_FALSE(ParsePort(bad, &port)) << bad;
+    EXPECT_EQ(port, 80) << bad;
+  }
+}
+
+TEST(ListenTcpTest, BindsEphemeralPortAndRejectsATakenOne) {
+  auto first = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_GE(first->fd, 0);
+  EXPECT_NE(first->port, 0);
+  // SO_REUSEADDR does not let a second listener share a listening port.
+  auto second = ListenTcp("127.0.0.1", first->port);
+  EXPECT_FALSE(second.ok());
+  close(first->fd);
 }
 
 }  // namespace
