@@ -46,7 +46,8 @@ void RunPanel(const char* label, Mix mix, Distribution dist,
       if (sut.tardis) {
         printf("  [branches=%llu states=%zu]",
                static_cast<unsigned long long>(
-                   sut.tardis->stats().branches_created),
+                   sut.tardis->metrics()->CounterTotal(
+                       "tardis_txn_forks_total")),
                sut.tardis->dag()->state_count());
         sut.tardis->StopGcThread();
       }

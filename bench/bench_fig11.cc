@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
            r.txn_latency_us.mean(),
            static_cast<unsigned long long>(r.aborted),
            static_cast<unsigned long long>(
-               sut.tardis->stats().branches_created));
+               sut.tardis->metrics()->CounterTotal("tardis_txn_forks_total")));
     sut.tardis->StopGcThread();
   }
   return 0;

@@ -73,12 +73,14 @@ int main() {
   auto timeline = app.ReadOwnTimeline(reader.get(), 2);
   if (!timeline.ok()) return 1;
 
-  const StoreStats stats = tardis_store->stats();
+  const obs::MetricsRegistry& metrics = *tardis_store->metrics();
   printf("posted %llu tweets across 3 threads\n",
          static_cast<unsigned long long>(posts.load()));
   printf("commits=%llu, branches created=%llu, merges=%llu\n",
-         static_cast<unsigned long long>(stats.commits),
-         static_cast<unsigned long long>(stats.branches_created),
+         static_cast<unsigned long long>(
+             metrics.CounterTotal("tardis_txn_commits_total")),
+         static_cast<unsigned long long>(
+             metrics.CounterTotal("tardis_txn_forks_total")),
          static_cast<unsigned long long>(merges));
   printf("user 2's timeline after convergence (%zu entries, newest first):\n",
          timeline->size());

@@ -12,7 +12,9 @@
 //                 [--trace-sample=N] [--help]
 //
 // --partitions lists one coordination endpoint per partition, indexed by
-// partition id (each endpoint is a tardisd started with --coord-port).
+// partition id (each endpoint is a tardisd started with --coord-port,
+// which serves the same line protocol; the router adds the `*T` trace
+// header and sends 2PC as prepare/decide lines).
 // Without --splits the hash ring is divided uniformly; with it, the
 // N-1 comma-separated split points define the N ranges explicitly.
 //
@@ -31,7 +33,6 @@
 #include <string.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -61,16 +62,21 @@ struct RouterConfig {
 };
 
 bool ParseFlags(int argc, char** argv, RouterConfig* config) {
+  // Millisecond flags stay far from overflowing a NowMillis() sum.
+  constexpr uint64_t kMaxMs = UINT32_MAX;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
     auto value = [&](const char* prefix) -> const char* {
       const size_t n = strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    // A numeric flag must be decimal within [lo, hi]; anything else is a
+    // usage error rather than a silently wrapped or truncated setting.
+    bool ok = true;
     if (const char* v = value("--port=")) {
-      if (!ParsePort(v, &config->port)) return false;
+      ok = ParsePort(v, &config->port);
     } else if (const char* v = value("--metrics-port=")) {
-      if (!ParsePort(v, &config->metrics_port)) return false;
+      ok = ParsePort(v, &config->metrics_port);
     } else if (const char* v = value("--partitions=")) {
       std::stringstream ss(v);
       std::string entry;
@@ -78,20 +84,26 @@ bool ParseFlags(int argc, char** argv, RouterConfig* config) {
     } else if (const char* v = value("--splits=")) {
       std::stringstream ss(v);
       std::string entry;
-      while (std::getline(ss, entry, ',')) {
-        config->splits.push_back(strtoull(entry.c_str(), nullptr, 10));
+      while (ok && std::getline(ss, entry, ',')) {
+        uint64_t split = 0;
+        ok = ParseUint(entry, 0, UINT64_MAX, &split);
+        config->splits.push_back(split);
       }
     } else if (const char* v = value("--call-timeout-ms=")) {
-      config->call_timeout_ms = static_cast<uint64_t>(atoll(v));
+      ok = ParseUint(v, 1, kMaxMs, &config->call_timeout_ms);
     } else if (const char* v = value("--txn-deadline-ms=")) {
-      config->txn_deadline_ms = static_cast<uint64_t>(atoll(v));
+      ok = ParseUint(v, 1, kMaxMs, &config->txn_deadline_ms);
     } else if (const char* v = value("--trace-sample=")) {
-      config->trace_sample = static_cast<uint64_t>(atoll(v));
+      ok = ParseUint(v, 0, UINT64_MAX, &config->trace_sample);
     } else if (arg == "--help" || arg == "-h") {
       config->help = true;
       return false;
     } else {
       fprintf(stderr, "tardis-router: unknown flag %s\n", arg.c_str());
+      return false;
+    }
+    if (!ok) {
+      fprintf(stderr, "tardis-router: bad value in %s\n", arg.c_str());
       return false;
     }
   }
@@ -186,7 +198,8 @@ int main(int argc, char** argv) {
             "for N partitions; default uniform). --txn-deadline-ms must\n"
             "stay below every participant's --twopc-resolve-ms.\n"
             "--trace-sample samples every Nth request into the tracer once\n"
-            "`trace start` has enabled it (0 = off).\n"
+            "`trace start` has enabled it (0 = off). Numeric flags take\n"
+            "unsigned decimals; a malformed value is a usage error.\n"
             "One worker runs the commands in order; a full queue answers\n"
             "ERR BUSY and a request queued over 1 s ERR DEADLINE (retry).\n"
             "SIGTERM or SIGINT drains: in-flight commands finish and are\n"

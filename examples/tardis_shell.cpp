@@ -205,15 +205,21 @@ struct Shell {
              static_cast<unsigned long long>(stats.versions_pruned),
              store->dag()->state_count());
     } else if (cmd == "stats") {
-      const StoreStats s = store->stats();
+      const obs::MetricsRegistry& m = *store->metrics();
       printf("commits=%llu aborts=%llu read-only=%llu branches=%llu "
              "merges=%llu remote=%llu\n",
-             static_cast<unsigned long long>(s.commits),
-             static_cast<unsigned long long>(s.aborts),
-             static_cast<unsigned long long>(s.read_only_commits),
-             static_cast<unsigned long long>(s.branches_created),
-             static_cast<unsigned long long>(s.merges_committed),
-             static_cast<unsigned long long>(s.remote_applied));
+             static_cast<unsigned long long>(
+                 m.CounterTotal("tardis_txn_commits_total")),
+             static_cast<unsigned long long>(
+                 m.CounterTotal("tardis_txn_aborts_total")),
+             static_cast<unsigned long long>(
+                 m.CounterTotal("tardis_txn_read_only_commits_total")),
+             static_cast<unsigned long long>(
+                 m.CounterTotal("tardis_txn_forks_total")),
+             static_cast<unsigned long long>(
+                 m.CounterTotal("tardis_txn_merges_total")),
+             static_cast<unsigned long long>(
+                 m.CounterTotal("tardis_txn_remote_applied_total")));
       printf("states=%zu leaves=%zu keys=%zu versions=%zu\n",
              store->dag()->state_count(), store->dag()->Leaves().size(),
              store->kvmap()->key_count(), store->kvmap()->version_count());

@@ -13,17 +13,19 @@
 //           [--archive-horizon=N] [--partition=N] [--coord-port=P]
 //           [--twopc-resolve-ms=MS] [--slow-ms=MS]
 //
-// With --coord-port the daemon additionally serves the cluster
-// coordination protocol (router fast path + cross-partition 2PC; see
-// src/cluster/ and DESIGN.md §10) on that port; --partition labels which
-// hash range of the cluster's PartitionMap this replica set owns.
+// With --coord-port the daemon also serves that port, the address the
+// router and peer participants dial (src/cluster/, DESIGN.md §10). Both
+// ports speak the same line protocol from one server; the partition
+// daemon adds the 2PC verbs prepare/decide/txnstatus (src/cluster/
+// twopc_line.h). --partition labels which hash range of the cluster's
+// PartitionMap this replica set owns.
 //
 // --peers lists every site's replication endpoint, indexed by site id;
 // entry --site names this daemon's own listen address. With
 // --metrics-port the daemon additionally serves the full metrics registry
 // as Prometheus text over plain HTTP (GET anything on that port).
 //
-// Overload safety: the client port is a server::LineServer — a bounded
+// Overload safety: both ports are one server::LineServer — a bounded
 // queue (--max-queue) drained by --workers threads. When the queue is
 // full new requests are shed with "ERR BUSY …" (retryable); a request
 // that waits in the queue past --request-deadline-ms is answered
@@ -36,6 +38,7 @@
 //
 //   ping                  liveness probe -> PONG
 //   put <key> <value>     commit a single-key transaction -> OK
+//   mput <k> <v> [<k> <v>]...  commit one multi-key transaction -> OK
 //   get <key>             read on this site's branch -> VALUE <v> | NOTFOUND
 //   merge [counter|lww]   merge all branch tips -> MERGED <n> | NOMERGE
 //   leaves                number of branch tips -> LEAVES <n>
@@ -53,6 +56,8 @@
 //   sleep <ms>            hold a worker for <ms> (overload testing) -> OK
 //   quit                  close this client connection
 //   shutdown              drain and exit the daemon
+//   prepare|decide|txnstatus ...  2PC participant verbs (with --coord-port;
+//                         twopc_line.h) -> 2PC <txn> <decision> [FORKED]
 //
 // Retryable errors ("ERR BUSY", "ERR DEADLINE", "ERR SHUTTING_DOWN") mean
 // the request was NOT executed; clients back off and resend (see
@@ -64,7 +69,8 @@
 // trace. --slow-ms=MS logs a structured warning for any request slower
 // than MS, with the trace id and the per-stage latency breakdown.
 //
-// After the trace header a line may carry an exactly-once session header
+// After the trace header a line (other than a 2PC verb, which carries its
+// session tag as arguments) may carry an exactly-once session header
 // "*S<sid>/<seq>/<attempt>/<flags>[/floors]" (DESIGN.md §13): sessioned
 // writes are deduped against the per-site table and answered
 // "OK STATE <site>:<seq>"; sessioned requests whose read floors this
@@ -88,8 +94,7 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/coord_server.h"
-#include "cluster/framed_client.h"
+#include "client/line_connection.h"
 #include "cluster/twopc.h"
 #include "core/session.h"
 #include "net/tcp_transport.h"
@@ -109,8 +114,9 @@ namespace {
 struct DaemonConfig {
   uint32_t site = 0;
   std::vector<TcpPeer> endpoints;  // every site, indexed by site id
-  /// The client port: --client-port, --workers, --max-queue and
-  /// --request-deadline-ms.
+  /// The client and coordination ports and their one worker pool:
+  /// --client-port, --coord-port (second_port, 0 disables it),
+  /// --workers, --max-queue and --request-deadline-ms.
   server::LineServerOptions serving;
   uint16_t metrics_port = 0;  ///< 0 disables the HTTP metrics endpoint
   GcCoordination gc_mode = GcCoordination::kOptimistic;
@@ -122,10 +128,8 @@ struct DaemonConfig {
   bool heartbeats = true;
   size_t archive_horizon = 4096;
   /// Partition-grid membership (see src/cluster/): which partition of the
-  /// cluster's PartitionMap this replica set serves (-1 = unpartitioned),
-  /// and the coordination port the router dials (0 disables it).
+  /// cluster's PartitionMap this replica set serves (-1 = unpartitioned).
   int64_t partition = -1;
-  uint16_t coord_port = 0;
   /// Grace before an in-doubt 2PC transaction is resolved cooperatively.
   /// Must exceed the router's 2PC deadline.
   uint64_t twopc_resolve_ms = 5000;
@@ -140,37 +144,44 @@ bool ParseEndpoints(const std::string& list, std::vector<TcpPeer>* out) {
   std::string entry;
   uint32_t site = 0;
   while (std::getline(ss, entry, ',')) {
-    const size_t colon = entry.rfind(':');
-    if (colon == std::string::npos) return false;
     TcpPeer p;
     p.site = site++;
-    p.host = entry.substr(0, colon);
-    if (!ParsePort(entry.substr(colon + 1), &p.port)) return false;
+    if (!ParseEndpoint(entry, &p.host, &p.port).ok()) return false;
     out->push_back(std::move(p));
   }
   return out->size() >= 2;
 }
 
 bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
+  // Millisecond flags stay far from overflowing a NowMillis() sum.
+  constexpr uint64_t kMaxMs = UINT32_MAX;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
     auto value = [&](const char* prefix) -> const char* {
       const size_t n = strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    // A numeric flag must be decimal within [lo, hi]; anything else is a
+    // usage error rather than a silently wrapped or truncated setting.
+    bool ok = true;
+    auto num = [&](const char* v, uint64_t lo, uint64_t hi, auto* out) {
+      uint64_t n = 0;
+      ok = ParseUint(v, lo, hi, &n);
+      if (ok) *out = static_cast<std::remove_pointer_t<decltype(out)>>(n);
+    };
     if (const char* v = value("--site=")) {
-      config->site = static_cast<uint32_t>(atoi(v));
+      num(v, 0, UINT32_MAX, &config->site);
     } else if (const char* v = value("--peers=")) {
-      if (!ParseEndpoints(v, &config->endpoints)) return false;
+      ok = ParseEndpoints(v, &config->endpoints);
     } else if (const char* v = value("--client-port=")) {
-      if (!ParsePort(v, &config->serving.port)) return false;
+      ok = ParsePort(v, &config->serving.port);
     } else if (const char* v = value("--metrics-port=")) {
-      if (!ParsePort(v, &config->metrics_port)) return false;
+      ok = ParsePort(v, &config->metrics_port);
     } else if (const char* v = value("--gc-mode=")) {
       if (strcmp(v, "pessimistic") == 0) {
         config->gc_mode = GcCoordination::kPessimistic;
-      } else if (strcmp(v, "optimistic") != 0) {
-        return false;
+      } else {
+        ok = strcmp(v, "optimistic") == 0;
       }
     } else if (const char* v = value("--dir=")) {
       config->dir = v;
@@ -182,30 +193,34 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
         return false;
       }
     } else if (const char* v = value("--workers=")) {
-      config->serving.workers = std::max(1, atoi(v));
+      num(v, 1, 256, &config->serving.workers);
     } else if (const char* v = value("--max-queue=")) {
-      config->serving.max_queue = static_cast<size_t>(std::max(1, atoi(v)));
+      num(v, 1, 1'000'000, &config->serving.max_queue);
     } else if (const char* v = value("--request-deadline-ms=")) {
-      config->serving.request_deadline_ms = static_cast<uint64_t>(atoll(v));
+      num(v, 0, kMaxMs, &config->serving.request_deadline_ms);
     } else if (const char* v = value("--tick-ms=")) {
-      config->tick_ms = static_cast<uint64_t>(std::max(1, atoi(v)));
+      num(v, 1, kMaxMs, &config->tick_ms);
     } else if (const char* v = value("--heartbeats=")) {
-      config->heartbeats = atoi(v) != 0;
+      num(v, 0, 1, &config->heartbeats);
     } else if (const char* v = value("--archive-horizon=")) {
-      config->archive_horizon = static_cast<size_t>(std::max(1, atoi(v)));
+      num(v, 1, UINT32_MAX, &config->archive_horizon);
     } else if (const char* v = value("--partition=")) {
-      config->partition = atoll(v);
+      num(v, 0, UINT32_MAX, &config->partition);
     } else if (const char* v = value("--coord-port=")) {
-      if (!ParsePort(v, &config->coord_port)) return false;
+      ok = ParsePort(v, &config->serving.second_port);
     } else if (const char* v = value("--twopc-resolve-ms=")) {
-      config->twopc_resolve_ms = static_cast<uint64_t>(atoll(v));
+      num(v, 0, kMaxMs, &config->twopc_resolve_ms);
     } else if (const char* v = value("--slow-ms=")) {
-      config->slow_ms = static_cast<uint64_t>(atoll(v));
+      num(v, 0, kMaxMs, &config->slow_ms);
     } else if (arg == "--help" || arg == "-h") {
       config->help = true;
       return false;  // caller prints the full usage text
     } else {
       fprintf(stderr, "tardisd: unknown flag %s\n", arg.c_str());
+      return false;
+    }
+    if (!ok) {
+      fprintf(stderr, "tardisd: bad value in %s\n", arg.c_str());
       return false;
     }
   }
@@ -287,8 +302,8 @@ struct Daemon {
   TcpTransport* transport = nullptr;
   obs::MetricsRegistry* registry = nullptr;
   const server::LineServer* server = nullptr;  ///< queue, shed, drain state
-  const cluster::TwoPhaseParticipant* participant = nullptr;
-  uint16_t coord_port = 0;  ///< actual bound port, 0 when disabled
+  /// Serves the 2PC verbs; null without --coord-port.
+  cluster::TwoPhaseParticipant* participant = nullptr;
 };
 
 const char* LivenessName(PeerLiveness s) {
@@ -326,6 +341,30 @@ std::string HandleCommand(const std::string& line, const Daemon& d,
     if (!s.ok()) return "ERR " + s.ToString();
     // Sessioned writes name the commit they produced, so a retry served
     // from dedup can return the identical reply.
+    if (tagged && session->last_commit() != nullptr) {
+      return "OK STATE " + session->last_commit()->guid().ToString();
+    }
+    return "OK";
+  }
+  if (cmd == "mput") {
+    // Atomic multi-key write: one local transaction, tagged like put.
+    std::vector<std::pair<std::string, std::string>> writes;
+    std::string key, value;
+    while (ss >> key >> value) writes.emplace_back(key, value);
+    if (writes.empty()) return "ERR usage: mput <key> <value> [...]";
+    auto txn = d.store->Begin(session);
+    if (!txn.ok()) return "ERR " + txn.status().ToString();
+    const bool tagged = sess != nullptr && sess->write();
+    if (tagged) (*txn)->SetSessionTag(sess->session_id, sess->seq);
+    for (const auto& [k, v] : writes) {
+      Status s = (*txn)->Put(k, v);
+      if (!s.ok()) {
+        (*txn)->Abort();
+        return "ERR " + s.ToString();
+      }
+    }
+    Status s = (*txn)->Commit();
+    if (!s.ok()) return "ERR " + s.ToString();
     if (tagged && session->last_commit() != nullptr) {
       return "OK STATE " + session->last_commit()->guid().ToString();
     }
@@ -388,7 +427,7 @@ std::string HandleCommand(const std::string& line, const Daemon& d,
     out += " metrics_port=" + std::to_string(d.config->metrics_port);
     out += " queue_bound=" + std::to_string(d.config->serving.max_queue);
     out += " partition=" + std::to_string(d.config->partition);
-    out += " coord_port=" + std::to_string(d.coord_port);
+    out += " coord_port=" + std::to_string(srv.second_port());
     out += " twopc_in_doubt=" +
            std::to_string(d.participant != nullptr
                               ? d.participant->in_doubt_count()
@@ -483,13 +522,12 @@ std::string HandleCommand(const std::string& line, const Daemon& d,
   return "ERR unknown command '" + cmd + "'";
 }
 
-/// Session-aware execution front door (DESIGN.md §13), shared by the
-/// client-port workers and the coordination server's kRoute executor:
-/// validates/strips the `*S` header (corrupt -> retryable ERR HEADER +
-/// counter, never silently stripped), enforces the session's read floors
-/// (ERR BEHIND unless stale-ok), answers retried sessioned writes from
-/// the dedup table, and prefixes sessioned replies with this site's
-/// floor token.
+/// Session-aware execution front door (DESIGN.md §13) for every command
+/// but the 2PC verbs: validates/strips the `*S` header (corrupt ->
+/// retryable ERR HEADER + counter, never silently stripped), enforces the
+/// session's read floors (ERR BEHIND unless stale-ok), answers retried
+/// sessioned writes from the dedup table, and prefixes sessioned replies
+/// with this site's floor token.
 std::string ExecuteSessionLine(std::string line, const Daemon& d,
                                ClientSession* session, bool* close_conn,
                                bool* shutdown) {
@@ -546,8 +584,15 @@ server::LineReply ServeClientLine(const server::LineRequest& req,
   server::LineReply reply;
   {
     TARDIS_TRACE_SPAN("daemon", "request");
-    reply.text = ExecuteSessionLine(req.line, d, session, &reply.close_conn,
-                                    &reply.shutdown);
+    // The 2PC verbs carry their session tag as arguments and skip the
+    // session front door: its floors would be another partition's.
+    if (d.participant != nullptr &&
+        cluster::IsTwoPhaseVerb(req.line.substr(0, req.line.find(' ')))) {
+      reply.text = d.participant->Serve(req.line);
+    } else {
+      reply.text = ExecuteSessionLine(req.line, d, session, &reply.close_conn,
+                                      &reply.shutdown);
+    }
   }
   const uint64_t total_us = NowMicros() - start_us;
   if (d.config->slow_ms > 0 && total_us >= d.config->slow_ms * 1000) {
@@ -617,14 +662,52 @@ int RunDaemon(const DaemonConfig& config) {
   }
   replicator.Start();
 
+  // Partition-grid membership: the participant side of cross-partition
+  // 2PC, served on the coordination port. Its twopc.log lives beside the
+  // store's WAL so prepare/decide records share the store's
+  // crash-recovery story.
+  std::unique_ptr<cluster::TwoPhaseParticipant> participant;
+  if (config.serving.second_port != 0) {
+    cluster::TwoPhaseOptions twopc_options;
+    twopc_options.dir = config.dir;
+    twopc_options.self_endpoint =
+        "127.0.0.1:" + std::to_string(config.serving.second_port);
+    twopc_options.resolve_grace_ms = config.twopc_resolve_ms;
+    twopc_options.query_peer = [](const std::string& endpoint,
+                                  uint64_t txn_id,
+                                  cluster::TwoPhaseDecision* decision) {
+      const uint64_t deadline_ms = NowMillis() + 1000;
+      client::LineConnection conn;
+      TARDIS_RETURN_IF_ERROR(conn.Connect(endpoint, deadline_ms));
+      std::string line;
+      TARDIS_RETURN_IF_ERROR(conn.Call(cluster::FormatTxnStatus(txn_id), false,
+                                       deadline_ms, &line));
+      cluster::TwoPhaseReply reply;
+      TARDIS_RETURN_IF_ERROR(cluster::ParseTwoPhaseReply(line, &reply));
+      *decision = reply.decision;
+      return Status::OK();
+    };
+    participant = std::make_unique<cluster::TwoPhaseParticipant>(
+        store->get(), std::move(twopc_options));
+    Status recover_status = participant->Recover();
+    if (!recover_status.ok()) {
+      fprintf(stderr, "tardisd: twopc recovery: %s\n",
+              recover_status.ToString().c_str());
+      return 1;
+    }
+  }
+
   Daemon daemon;
   daemon.config = &config;
   daemon.store = store->get();
   daemon.replicator = &replicator;
   daemon.transport = transport->get();
   daemon.registry = registry.get();
-  // The client port: one LineServer (bounded queue, deadlines, drain)
-  // with a ClientSession per connection.
+  daemon.participant = participant.get();
+  // Both ports: one LineServer (bounded queue, deadlines, drain) with a
+  // ClientSession per connection. Router traffic queues with client
+  // traffic and answers ERR BUSY / ERR DEADLINE / ERR SHUTTING_DOWN
+  // under the same rules.
   server::LineServer client_server(config.serving, [&] {
     std::shared_ptr<ClientSession> session = (*store)->CreateSession();
     return [&, session](const server::LineRequest& req) {
@@ -637,70 +720,14 @@ int RunDaemon(const DaemonConfig& config) {
                                                         "queue_wait"));
   daemon.server = &client_server;
 
-  // Partition-grid membership: a coordination endpoint (router traffic +
-  // cross-partition 2PC) next to the client port. The participant's
-  // twopc.log lives beside the store's WAL so prepare/decide records
-  // share the store's crash-recovery story.
-  std::unique_ptr<cluster::TwoPhaseParticipant> participant;
-  std::unique_ptr<cluster::CoordServer> coord_server;
-  std::shared_ptr<ClientSession> coord_session;
-  if (config.coord_port != 0) {
-    cluster::TwoPhaseOptions twopc_options;
-    twopc_options.dir = config.dir;
-    twopc_options.self_endpoint =
-        "127.0.0.1:" + std::to_string(config.coord_port);
-    twopc_options.resolve_grace_ms = config.twopc_resolve_ms;
-    twopc_options.query_peer = [](const std::string& endpoint,
-                                  uint64_t txn_id,
-                                  cluster::TwoPhaseDecision* decision) {
-      ReplMessage req;
-      req.type = ReplMessage::Type::kTxnStatus;
-      req.txn_id = txn_id;
-      ReplMessage resp;
-      Status s = cluster::FramedClient::CallOnce(endpoint, req, &resp, 1000);
-      if (!s.ok()) return s;
-      if (resp.type != ReplMessage::Type::kDecideAck) {
-        return Status::Corruption("bad txn-status reply");
-      }
-      *decision = static_cast<cluster::TwoPhaseDecision>(resp.decision);
-      return Status::OK();
-    };
-    participant = std::make_unique<cluster::TwoPhaseParticipant>(
-        store->get(), std::move(twopc_options));
-    Status recover_status = participant->Recover();
-    if (!recover_status.ok()) {
-      fprintf(stderr, "tardisd: twopc recovery: %s\n",
-              recover_status.ToString().c_str());
-      return 1;
-    }
-    daemon.participant = participant.get();
-
-    coord_session = (*store)->CreateSession();
-    cluster::CoordServerOptions coord_options;
-    coord_options.port = config.coord_port;
-    coord_options.resolve_interval_ms = 500;
-    coord_options.execute = [&, coord_session](const std::string& line) {
-      bool ignored_close = false;
-      bool ignored_shutdown = false;
-      return ExecuteSessionLine(line, daemon, coord_session.get(),
-                                &ignored_close, &ignored_shutdown);
-    };
-    auto server = cluster::CoordServer::Start(
-        store->get(), participant.get(), std::move(coord_options));
-    if (!server.ok()) {
-      fprintf(stderr, "tardisd: coord server: %s\n",
-              server.status().ToString().c_str());
-      return 1;
-    }
-    coord_server = std::move(*server);
-    daemon.coord_port = coord_server->listen_port();
-  }
-
   Status listen_status = client_server.Listen();
   if (!listen_status.ok()) {
-    fprintf(stderr, "tardisd: client %s\n", listen_status.ToString().c_str());
+    fprintf(stderr, "tardisd: listen %s\n", listen_status.ToString().c_str());
     return 1;
   }
+  // The resolver queries peers on its own thread, so a stopped or
+  // unreachable peer never stalls serving.
+  if (participant) participant->StartResolver(500);
   std::unique_ptr<obs::MetricsHttpExporter> metrics_http;
   if (config.metrics_port != 0) {
     // registry outlives the exporter (reset before the final flush below).
@@ -718,25 +745,25 @@ int RunDaemon(const DaemonConfig& config) {
   if (config.metrics_port != 0) {
     printf(", metrics on http port %u", config.metrics_port);
   }
-  if (coord_server) {
+  if (participant) {
     printf(", partition %lld coord port %u",
            static_cast<long long>(config.partition),
-           coord_server->listen_port());
+           config.serving.second_port);
   }
   printf("\n");
   fflush(stdout);
 
   client_server.Run();
 
-  // Drain epilogue (the client port has drained and its workers are
+  // Drain epilogue (both ports have drained and their workers are
   // stopped): persist everything local, and give the transport a moment
   // to push out the final gossip so peers do not need anti-entropy for
   // what we already acknowledged.
   metrics_http.reset();
-  // Coord traffic stops before the final flush; staged-but-undecided 2PC
+  // The resolver stops before the final flush; staged-but-undecided 2PC
   // transactions die with the process and are re-resolved from twopc.log
   // on restart.
-  coord_server.reset();
+  participant.reset();
 
   Status flush_status = (*store)->Flush();
   if (!flush_status.ok()) {
@@ -764,7 +791,8 @@ int main(int argc, char** argv) {
             "usage: tardisd --site=N --peers=host:port,... --client-port=P\n"
             "               [--gc-mode=optimistic|pessimistic] [--dir=PATH]\n"
             "               [--backend=mem|btree|trie]\n"
-            "               [--metrics-port=P] [--workers=N] [--max-queue=N]\n"
+            "               [--metrics-port=P] [--workers=1..256]\n"
+            "               [--max-queue=N]\n"
             "               [--request-deadline-ms=MS] [--tick-ms=MS]\n"
             "               [--heartbeats=0|1] [--archive-horizon=N]\n"
             "               [--partition=N] [--coord-port=P]\n"
@@ -778,12 +806,17 @@ int main(int argc, char** argv) {
             "--metrics-port serves the metrics registry as Prometheus text\n"
             "over HTTP (off when absent); --max-queue bounds the client\n"
             "request queue (requests past the bound are shed with ERR BUSY).\n"
-            "--partition/--coord-port enroll this site in a partitioned\n"
-            "grid behind tardis-router (see DESIGN.md section 10);\n"
+            "--coord-port serves the line protocol on a second port for\n"
+            "tardis-router and peer participants, with the 2PC verbs\n"
+            "prepare/decide/txnstatus; both ports share one queue and\n"
+            "worker pool. With --partition it enrolls this site in a\n"
+            "partitioned grid (see DESIGN.md section 10);\n"
             "--twopc-resolve-ms is the in-doubt cooperative-resolution\n"
             "grace and must exceed the router's 2PC deadline.\n"
             "--slow-ms logs requests slower than MS with their trace id\n"
-            "and per-stage latency breakdown (0 = disabled).\n");
+            "and per-stage latency breakdown (0 = disabled).\n"
+            "Numeric flags take unsigned decimals; a malformed or\n"
+            "out-of-range value is a usage error.\n");
     return config.help ? 0 : 2;
   }
   return tardis::RunDaemon(config);

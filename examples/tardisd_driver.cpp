@@ -984,7 +984,10 @@ void FireAndForget(uint16_t port, const std::string& line) {
 ///   5. the router is SIGKILLed between prepare and decide: the
 ///      participants' cooperative termination presumes abort (nothing
 ///      was acknowledged), no previously acknowledged write is lost, and
-///      a replacement router on the same flags commits the retry;
+///      a replacement router on the same flags commits the retry. While
+///      partition 1's coordinator is SIGSTOPped, partition 0's resolver
+///      queries it in vain, yet partition 0 keeps answering the router
+///      within 300 ms;
 ///   6. the router's serving contract: a request queued behind a held
 ///      2PC past the 1 s deadline gets ERR DEADLINE, and SIGTERM during
 ///      a held 2PC drains — the client gets OK TXN, the router exits 0.
@@ -1196,6 +1199,39 @@ int RunGrid(const std::string& tardisd, const std::string& router_bin,
   close(router_fd);
   printf("== grid: router SIGKILLed between prepare and decide\n");
 
+  // The resolver never blocks serving: stop partition 1's coordinator, so
+  // partition 0's resolver, past --twopc-resolve-ms, queries a peer that
+  // accepts but never answers. A replacement router's reads of
+  // partition 0 through its coordination port must still be prompt.
+  const pid_t coord1 = groups[1].pids[0];
+  kill(coord1, SIGSTOP);
+  router_pid = SpawnRouter(router_bin, router_port, router_metrics_port,
+                           partitions_flag, 1500);
+  all_pids.push_back(router_pid);
+  router_fd = ConnectTo(router_port, 10'000);
+  if (router_fd < 0) Die("replacement router never came up");
+  std::this_thread::sleep_for(std::chrono::milliseconds(3'500));
+  if (in_doubt_at(0) < 1) {
+    Die("partition 0 resolved its in-doubt txn with its peer stopped");
+  }
+  for (int i = 0; i < 10; i++) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::string r = Cmd(router_fd, "get " + keys[0][3]);
+    const long long took =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    if (r != "VALUE x0" || took >= 300) {
+      kill(coord1, SIGCONT);
+      Die("read of partition 0 during peer queries took " +
+          std::to_string(took) + " ms: " + r);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  kill(coord1, SIGCONT);
+  printf("== grid: 10 reads of partition 0 answered within 300 ms while "
+         "its resolver queried a stopped peer\n");
+
   if (!WaitFor([&] { return in_doubt_at(0) == 0 && in_doubt_at(1) == 0; },
                20'000)) {
     Die("in-doubt transactions did not resolve after the router died");
@@ -1213,13 +1249,8 @@ int RunGrid(const std::string& tardisd, const std::string& router_bin,
   printf("== grid: cooperative termination aborted the in-doubt txn, "
          "no acknowledged write lost\n");
 
-  // A replacement router on the same flags takes over immediately —
+  // The replacement router, on the same flags, took over at once —
   // there is no durable router state to recover.
-  router_pid = SpawnRouter(router_bin, router_port, router_metrics_port,
-                           partitions_flag, 1500);
-  all_pids.push_back(router_pid);
-  router_fd = ConnectTo(router_port, 10'000);
-  if (router_fd < 0) Die("replacement router never came up");
   const std::string retry = Cmd(router_fd, doomed);
   if (retry.rfind("OK TXN ", 0) != 0) {
     Die("retried mput after router restart failed: " + retry);

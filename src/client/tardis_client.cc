@@ -1,19 +1,11 @@
 #include "client/tardis_client.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <sstream>
 
-#include "cluster/framed_client.h"
 #include "util/clock.h"
 #include "util/random.h"
 
@@ -39,14 +31,6 @@ bool IsCleanRetryable(const std::string& reply) {
 bool WantsRotate(const std::string& reply) {
   return StartsWith(reply, "ERR SHUTTING_DOWN") ||
          StartsWith(reply, "ERR BEHIND") || StartsWith(reply, "ERR HEADER");
-}
-
-void SetSocketTimeouts(int fd, uint64_t ms) {
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 }  // namespace
@@ -81,106 +65,15 @@ TardisClient::TardisClient(TardisClientOptions options)
   }
 }
 
-TardisClient::~TardisClient() { CloseConn(); }
-
-void TardisClient::CloseConn() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  inbuf_.clear();
-}
+TardisClient::~TardisClient() = default;
 
 void TardisClient::Rotate() {
-  CloseConn();
+  conn_.Close();
   if (options_.endpoints.size() > 1) {
     endpoint_ = (endpoint_ + 1) % options_.endpoints.size();
   }
   failovers_n_++;
   if (failovers_ != nullptr) failovers_->Increment();
-}
-
-Status TardisClient::ConnectCurrent(uint64_t deadline_ms) {
-  const std::string& endpoint = options_.endpoints[endpoint_];
-  std::string host;
-  uint16_t port = 0;
-  TARDIS_RETURN_IF_ERROR(cluster::ParseEndpoint(endpoint, &host, &port));
-
-  addrinfo hints;
-  memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const std::string port_str = std::to_string(port);
-  if (getaddrinfo(host.c_str(), port_str.c_str(), &hints, &res) != 0 ||
-      res == nullptr) {
-    return Status::IOError("resolve " + host);
-  }
-  const int fd = socket(res->ai_family, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    freeaddrinfo(res);
-    return Status::IOError("socket: " + std::string(strerror(errno)));
-  }
-  // Nonblocking connect so the connect attempt honors both the connect
-  // timeout and the request deadline instead of the kernel's default.
-  const int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int rc = connect(fd, res->ai_addr, static_cast<socklen_t>(res->ai_addrlen));
-  freeaddrinfo(res);
-  if (rc != 0 && errno != EINPROGRESS) {
-    const Status s =
-        Status::IOError("connect " + endpoint + ": " + strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  if (rc != 0) {
-    const uint64_t now = NowMillis();
-    uint64_t budget = options_.connect_timeout_ms;
-    if (deadline_ms > now) budget = std::min(budget, deadline_ms - now);
-    pollfd pfd{fd, POLLOUT, 0};
-    rc = poll(&pfd, 1, static_cast<int>(std::max<uint64_t>(budget, 1)));
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (rc <= 0 ||
-        getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-      ::close(fd);
-      return Status::IOError("connect " + endpoint + ": " +
-                             (rc <= 0 ? "timeout" : strerror(err)));
-    }
-  }
-  fcntl(fd, F_SETFL, flags);  // back to blocking; SO_*TIMEO bound the IO
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
-  inbuf_.clear();
-  return Status::OK();
-}
-
-Status TardisClient::ReadLine(uint64_t deadline_ms, std::string* line) {
-  size_t nl;
-  while ((nl = inbuf_.find('\n')) == std::string::npos) {
-    const uint64_t now = NowMillis();
-    if (now >= deadline_ms) {
-      CloseConn();  // a late reply would desynchronize the stream
-      return Status::Unavailable("reply deadline expired");
-    }
-    SetSocketTimeouts(fd_, deadline_ms - now);
-    char chunk[65536];
-    const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      inbuf_.append(chunk, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    CloseConn();
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return Status::Unavailable("reply deadline expired");
-    }
-    return Status::IOError("connection lost");
-  }
-  *line = inbuf_.substr(0, nl);
-  inbuf_.erase(0, nl + 1);
-  return Status::OK();
 }
 
 void TardisClient::MergeFloors(const std::map<uint32_t, uint64_t>& learned,
@@ -192,53 +85,6 @@ void TardisClient::MergeFloors(const std::map<uint32_t, uint64_t>& learned,
       floor_learned_ms_[site] = now_ms;
     }
   }
-}
-
-Status TardisClient::Roundtrip(const std::string& line, bool multi,
-                               uint64_t deadline_ms, std::string* reply,
-                               bool* sent) {
-  {
-    const uint64_t now = NowMillis();
-    if (now >= deadline_ms) return Status::Unavailable("deadline expired");
-    SetSocketTimeouts(fd_, deadline_ms - now);
-  }
-  const std::string framed = line + "\n";
-  size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n =
-        send(fd_, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      *sent = true;
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    CloseConn();
-    return Status::IOError("send: " + std::string(strerror(errno)));
-  }
-  std::string first;
-  TARDIS_RETURN_IF_ERROR(ReadLine(deadline_ms, &first));
-  if (!first.empty() && first[0] == '*' && first.size() > 1 &&
-      first[1] == 'F') {
-    std::map<uint32_t, uint64_t> learned;
-    if (StripFloorToken(&first, &learned)) MergeFloors(learned, NowMillis());
-  }
-  // Multi-line commands answer a single line when rejected before
-  // execution (shed, malformed) — mirror the shell's heuristic.
-  if (!multi || first == "END" || StartsWith(first, "ERR")) {
-    *reply = first == "END" ? std::string() : first;
-    return Status::OK();
-  }
-  std::string body = first;
-  while (true) {
-    std::string l;
-    TARDIS_RETURN_IF_ERROR(ReadLine(deadline_ms, &l));
-    if (l == "END") break;
-    body += "\n";
-    body += l;
-  }
-  *reply = body;
-  return Status::OK();
 }
 
 std::string TardisClient::BuildHeader(Verb verb, uint64_t seq,
@@ -314,8 +160,11 @@ Status TardisClient::Execute(const std::string& line, Verb verb, bool multi,
     if (now >= deadline) {
       return Status::Unavailable("request deadline exceeded; last: " + last);
     }
-    if (fd_ < 0) {
-      const Status cs = ConnectCurrent(deadline);
+    if (!conn_.connected()) {
+      // One connect attempt gets at most connect_timeout_ms.
+      const Status cs =
+          conn_.Connect(options_.endpoints[endpoint_],
+                        std::min(deadline, now + options_.connect_timeout_ms));
       if (!cs.ok()) {
         last = cs.ToString();
         Rotate();
@@ -331,7 +180,9 @@ Status TardisClient::Execute(const std::string& line, Verb verb, bool multi,
     const std::string full = header.empty() ? line : header + " " + line;
     std::string reply;
     bool sent = false;
-    const Status s = Roundtrip(full, multi, deadline, &reply, &sent);
+    std::map<uint32_t, uint64_t> learned;
+    const Status s = conn_.Call(full, multi, deadline, &reply, &sent, &learned);
+    if (!learned.empty()) MergeFloors(learned, NowMillis());
     if (!s.ok()) {
       last = s.ToString();
       // Connection cut before any byte went out: nothing executed, all

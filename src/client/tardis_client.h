@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "client/line_connection.h"
 #include "core/session.h"
 #include "obs/metrics.h"
 #include "util/backoff.h"
@@ -130,14 +131,6 @@ class TardisClient {
   Status Execute(const std::string& line, Verb verb, bool multi,
                  uint64_t seq, std::string* out);
 
-  Status ConnectCurrent(uint64_t deadline_ms);
-  void CloseConn();
-  /// One send + reply read on the live connection. `multi` reads to the
-  /// END terminator. Any IO failure closes the connection; *sent reports
-  /// whether any request bytes left the socket (the retry-safety pivot).
-  Status Roundtrip(const std::string& line, bool multi, uint64_t deadline_ms,
-                   std::string* reply, bool* sent);
-  Status ReadLine(uint64_t deadline_ms, std::string* line);
   /// Raises floors_ from a `*F` token's map, stamping when each floor
   /// was first raised (drives the stale-reads window).
   void MergeFloors(const std::map<uint32_t, uint64_t>& learned,
@@ -151,9 +144,8 @@ class TardisClient {
   uint64_t next_seq_ = 0;  ///< last assigned write sequence
   Backoff backoff_;
 
-  int fd_ = -1;
+  LineConnection conn_;
   size_t endpoint_ = 0;  ///< index into options_.endpoints
-  std::string inbuf_;
 
   std::map<uint32_t, uint64_t> floors_;
   /// When each floor was last raised (NowMillis); drives stale_reads_ms.

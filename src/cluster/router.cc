@@ -6,8 +6,8 @@
 #include <sstream>
 #include <thread>
 
+#include "cluster/twopc_line.h"
 #include "fault/fault_points.h"
-#include "cluster/twopc.h"
 #include "obs/exposition.h"
 #include "obs/stage.h"
 #include "obs/trace_stitch.h"
@@ -20,21 +20,16 @@ namespace cluster {
 
 namespace {
 
-/// Stamps the thread's current trace context onto an outgoing
-/// coordination frame, so the receiving daemon's spans join this trace.
-void AttachTrace(ReplMessage* msg) {
+/// Prefixes an outgoing line with the thread's trace context, so the
+/// receiving daemon's spans join this trace.
+std::string WithTrace(const std::string& line) {
   const obs::TraceContext& ctx = obs::CurrentTraceContext();
-  msg->trace_id = ctx.trace_id;
-  msg->trace_span = ctx.span_id;
-  msg->trace_sampled = ctx.sampled;
+  return ctx.active() ? obs::FormatTraceHeader(ctx) + " " + line : line;
 }
 
-/// Multi-line daemon replies arrive END-terminated; the fan-out
-/// aggregators re-terminate themselves.
-std::string StripEndMarker(std::string body) {
-  if (body == "END") return "";
-  const size_t n = body.size();
-  if (n >= 4 && body.compare(n - 4, 4, "\nEND") == 0) body.erase(n - 4);
+/// Multi-line partition replies arrive without their END terminator;
+/// the fan-out aggregators want each body newline-terminated.
+std::string Terminated(std::string body) {
   if (!body.empty() && body.back() != '\n') body.push_back('\n');
   return body;
 }
@@ -68,8 +63,8 @@ Router::Router(PartitionMap map, RouterOptions options,
       registry_(registry),
       next_txn_id_(TxnIdSeed()),
       sample_every_(options_.trace_sample) {
-  clients_.resize(map_.partition_count());
-  for (auto& c : clients_) c = std::make_unique<FramedClient>();
+  conns_.resize(map_.partition_count());
+  for (auto& c : conns_) c = std::make_unique<client::LineConnection>();
   requests_fast_ = registry->RegisterCounter(
       "tardis_router_requests", "Client commands handled by the router",
       {{"path", "fast"}});
@@ -91,53 +86,54 @@ Router::Router(PartitionMap map, RouterOptions options,
 
 Router::~Router() = default;
 
-Status Router::CallPartition(uint32_t p, const ReplMessage& msg,
-                             ReplMessage* resp, uint64_t deadline_ms) {
+Status Router::CallPartition(uint32_t p, const std::string& line,
+                             bool multi, std::string* reply,
+                             uint64_t deadline_ms) {
   // Each wire operation (dial or call) gets at most the per-call timeout,
   // clipped to whatever remains of the caller's deadline: a CallPartition
   // that could block for several full timeouts (connect + call + re-dial
   // + call) would otherwise let the prepare phase outlive the
-  // participants' presumed-abort grace period.
-  const auto op_timeout = [&]() -> uint64_t {
-    if (deadline_ms == 0) return options_.call_timeout_ms;
+  // participants' presumed-abort grace period. 0 = the budget is spent.
+  const auto op_deadline = [&]() -> uint64_t {
     const uint64_t now = NowMillis();
+    if (deadline_ms == 0) return now + options_.call_timeout_ms;
     if (now >= deadline_ms) return 0;
-    return std::min<uint64_t>(options_.call_timeout_ms, deadline_ms - now);
+    return now + std::min<uint64_t>(options_.call_timeout_ms,
+                                    deadline_ms - now);
   };
   const Status overdue = Status::Aborted("2pc deadline exceeded");
+  client::LineConnection* conn = conns_[p].get();
+  const std::string wire = WithTrace(line);
+  const auto dial = [&]() -> Status {
+    const uint64_t t = op_deadline();
+    if (t == 0) return overdue;
+    return conn->Connect(options_.coord_endpoints[p], t);
+  };
+  const auto call = [&]() -> Status {
+    const uint64_t t = op_deadline();
+    if (t == 0) return overdue;
+    return conn->Call(wire, multi, t, reply);
+  };
 
-  FramedClient* client = clients_[p].get();
-  uint64_t t;
-  if (!client->connected()) {
-    if ((t = op_timeout()) == 0) return overdue;
-    Status s = client->Connect(options_.coord_endpoints[p], t);
-    if (!s.ok()) return s;
-    if ((t = op_timeout()) == 0) return overdue;
-    return client->Call(msg, resp, t);
+  if (!conn->connected()) {
+    TARDIS_RETURN_IF_ERROR(dial());
+    return call();
   }
-  if ((t = op_timeout()) == 0) return overdue;
-  Status s = client->Call(msg, resp, t);
+  Status s = call();
   if (s.ok()) return s;
   // The cached connection may have died while idle (daemon restart):
   // one re-dial before giving up.
-  if ((t = op_timeout()) == 0) return overdue;
-  s = client->Connect(options_.coord_endpoints[p], t);
-  if (!s.ok()) return s;
-  if ((t = op_timeout()) == 0) return overdue;
-  return client->Call(msg, resp, t);
+  TARDIS_RETURN_IF_ERROR(dial());
+  return call();
 }
 
-std::string Router::ForwardLine(uint32_t partition, const std::string& line) {
-  ReplMessage req;
-  req.type = ReplMessage::Type::kRoute;
-  req.text = line;
-  AttachTrace(&req);
-  ReplMessage resp;
-  Status s = CallPartition(partition, req, &resp);
+std::string Router::ForwardLine(uint32_t partition, const std::string& line,
+                                bool multi) {
+  std::string reply;
+  Status s = CallPartition(partition, line, multi, &reply);
   if (!s.ok()) return "ERR partition " + std::to_string(partition) + " " +
                        s.ToString();
-  if (resp.type != ReplMessage::Type::kRouteReply) return "ERR bad reply type";
-  return resp.text;
+  return reply;
 }
 
 std::string Router::HandleMultiPut(const std::vector<WriteOp>& writes,
@@ -162,21 +158,16 @@ std::string Router::HandleMultiPut(const std::vector<WriteOp>& writes,
   }
 
   if (partition_ids.size() == 1) {
-    // Fast path: one partition, one ordinary local transaction there.
+    // Fast path: one partition, one ordinary local transaction there,
+    // through the daemon's session front door like a forwarded put.
     requests_fast_->Increment();
-    ReplMessage req;
-    req.type = ReplMessage::Type::kRoute;
-    AttachTrace(&req);
-    req.session_id = session.session_id;
-    req.session_seq = session.seq;
+    std::string line = session.session_id == 0
+                           ? "mput"
+                           : FormatSessionHeader(session) + " mput";
     for (const WriteOp& w : by_partition[0]) {
-      req.commit.writes.emplace_back(
-          w.key, std::make_shared<const std::string>(w.value));
+      line += " " + w.key + " " + w.value;
     }
-    ReplMessage resp;
-    Status s = CallPartition(partition_ids[0], req, &resp);
-    if (!s.ok()) return "ERR " + s.ToString();
-    return resp.text;
+    return ForwardLine(partition_ids[0], line);
   }
   requests_2pc_->Increment();
   return CommitAcrossPartitions(partition_ids, by_partition, session);
@@ -216,10 +207,8 @@ std::string Router::CommitAcrossPartitions(
       break;
     }
     ReplMessage prep;
-    prep.type = ReplMessage::Type::kPrepare;
     prep.txn_id = txn_id;
     prep.endpoints = endpoints;
-    AttachTrace(&prep);
     prep.session_id = session.session_id;
     prep.session_seq = session.seq;
     for (const WriteOp& w : by_partition[i]) {
@@ -227,20 +216,23 @@ std::string Router::CommitAcrossPartitions(
           w.key, std::make_shared<const std::string>(w.value));
     }
     prepares_->Increment();
-    ReplMessage ack;
+    std::string reply;
     Status s;
     {
       obs::StageTimer timer(prepare_rtt_us_, "prepare_rtt");
-      s = CallPartition(partition_ids[i], prep, &ack, deadline_ms);
+      s = CallPartition(partition_ids[i], FormatPrepare(prep), false, &reply,
+                        deadline_ms);
     }
+    // Any reply but a commit vote — an abort vote or any ERR, such as a
+    // shed or expired request — aborts the transaction.
+    TwoPhaseReply vote;
     if (!s.ok()) {
       failure = s;
-    } else if (ack.type != ReplMessage::Type::kPrepareAck ||
-               ack.decision !=
-                   static_cast<uint8_t>(TwoPhaseDecision::kCommit)) {
+    } else if (!ParseTwoPhaseReply(reply, &vote).ok() ||
+               vote.decision != TwoPhaseDecision::kCommit) {
       failure = Status::Aborted("partition " +
                                 std::to_string(partition_ids[i]) +
-                                " voted abort");
+                                " voted abort: " + reply);
     } else {
       prepared.push_back(partition_ids[i]);
     }
@@ -249,14 +241,11 @@ std::string Router::CommitAcrossPartitions(
   if (!failure.ok()) {
     // Abort everything we prepared; participants we cannot reach will
     // presume abort on their own after the grace period.
+    const std::string abort_line =
+        FormatDecide(txn_id, TwoPhaseDecision::kAbort);
     for (uint32_t p : prepared) {
-      ReplMessage decide;
-      decide.type = ReplMessage::Type::kDecide;
-      decide.txn_id = txn_id;
-      decide.decision = static_cast<uint8_t>(TwoPhaseDecision::kAbort);
-      AttachTrace(&decide);
-      ReplMessage ack;
-      (void)CallPartition(p, decide, &ack);
+      std::string reply;
+      (void)CallPartition(p, abort_line, false, &reply);
     }
     return "ERR 2PC abort txn " + std::to_string(txn_id) + ": " +
            failure.ToString();
@@ -274,16 +263,17 @@ std::string Router::CommitAcrossPartitions(
 
   bool any_forked = false;
   size_t delivered = 0;
+  const std::string commit_line =
+      FormatDecide(txn_id, TwoPhaseDecision::kCommit);
   for (uint32_t p : partition_ids) {
-    ReplMessage decide;
-    decide.type = ReplMessage::Type::kDecide;
-    decide.txn_id = txn_id;
-    decide.decision = static_cast<uint8_t>(TwoPhaseDecision::kCommit);
-    AttachTrace(&decide);
-    ReplMessage ack;
+    // Retried until the txn deadline: a lost connection or a refused
+    // request (ERR BUSY, ERR DEADLINE, ...) must not strand the decision.
+    TwoPhaseReply ack;
     Status s;
     do {
-      s = CallPartition(p, decide, &ack);
+      std::string reply;
+      s = CallPartition(p, commit_line, false, &reply);
+      if (s.ok()) s = ParseTwoPhaseReply(reply, &ack);
       if (!s.ok()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
@@ -293,19 +283,18 @@ std::string Router::CommitAcrossPartitions(
     // abort and buried the transaction — re-acking its recorded decision
     // — and treating that as success would report a commit the
     // participant will never apply.
-    if (s.ok() && ack.type == ReplMessage::Type::kDecideAck &&
-        ack.decision == static_cast<uint8_t>(TwoPhaseDecision::kCommit)) {
+    if (s.ok() && ack.decision == TwoPhaseDecision::kCommit) {
       delivered++;
       if (ack.forked) {
         any_forked = true;
         forked_commits_->Increment();
       }
-    } else if (s.ok() && ack.type == ReplMessage::Type::kDecideAck) {
+    } else if (s.ok()) {
       TARDIS_WARN(
           "router: partition %u answered decide-commit txn %llu with %s; "
           "treating as undelivered",
           p, static_cast<unsigned long long>(txn_id),
-          TwoPhaseDecisionName(static_cast<TwoPhaseDecision>(ack.decision)));
+          TwoPhaseDecisionName(ack.decision));
     } else {
       TARDIS_WARN(
           "router: decide commit txn %llu undelivered to partition %u "
@@ -336,7 +325,7 @@ std::string Router::AggregateHealth() {
   std::string out = "ROUTER partitions=" +
                     std::to_string(map_.partition_count()) + "\n";
   for (uint32_t p = 0; p < map_.partition_count(); p++) {
-    const std::string reply = ForwardLine(p, "health");
+    const std::string reply = ForwardLine(p, "health", true);
     if (reply.compare(0, 4, "ERR ") == 0) {
       out += "P" + std::to_string(p) + " down=1 " + reply + "\n";
       continue;
@@ -374,13 +363,13 @@ std::string Router::CollectClusterTraces() {
   // machine's monotonic-clock origin, so events pass through verbatim).
   std::vector<std::string> docs;
   for (uint32_t p = 0; p < map_.partition_count(); p++) {
-    const std::string reply = ForwardLine(p, "trace json");
+    const std::string reply = ForwardLine(p, "trace json", true);
     if (reply.compare(0, 4, "ERR ") == 0) {
       TARDIS_WARN("router: trace collect: partition %u: %s", p,
                   reply.c_str());
       continue;  // stitch what is reachable rather than failing the dump
     }
-    docs.push_back(StripEndMarker(reply));
+    docs.push_back(Terminated(reply));
   }
   docs.push_back(obs::Tracer::Get().DumpChromeTrace());
   return obs::StitchChromeTraces(docs) + "END";
@@ -392,13 +381,13 @@ std::string Router::ClusterMetrics() {
   // summaries dropped in favour of the mergeable _bucket series).
   std::vector<std::string> expositions;
   for (uint32_t p = 0; p < map_.partition_count(); p++) {
-    const std::string reply = ForwardLine(p, "metrics prom");
+    const std::string reply = ForwardLine(p, "metrics prom", true);
     if (reply.compare(0, 4, "ERR ") == 0) {
       TARDIS_WARN("router: metrics cluster: partition %u: %s", p,
                   reply.c_str());
       continue;
     }
-    expositions.push_back(StripEndMarker(reply));
+    expositions.push_back(Terminated(reply));
   }
   expositions.push_back(obs::RenderPrometheus(registry_->Collect()));
   std::string body = obs::MergePrometheus(expositions);
@@ -419,8 +408,8 @@ std::string Router::Handle(const std::string& line, bool* close_conn) {
   // A client trace header (already bound by the server) wins; otherwise
   // 1-in-N self-sampling starts a fresh trace at the cluster's front
   // door. Either way the context is bound for the whole dispatch, so
-  // every span this thread records — and every coordination frame
-  // AttachTrace stamps — carries the same trace id across the grid.
+  // every span this thread records — and every line CallPartition sends
+  // a partition — carries the same trace id across the grid.
   std::string cmd_line = line;
   obs::TraceContext ctx = obs::CurrentTraceContext();
   if (!ctx.active() && sample_every_ > 0 && obs::Tracer::Get().enabled() &&

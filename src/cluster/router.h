@@ -1,20 +1,20 @@
 // Router: the stateless front-end of a partitioned TARDiS cluster
 // (DESIGN.md §10). Clients speak the same line protocol as tardisd; the
 // router hashes keys through the PartitionMap and forwards each command
-// to the owning partition's daemon over its coordination port, using the
-// CRC32-framed wire codec.
+// to the owning partition's daemon over its coordination port, which
+// speaks that same line protocol.
 //
 // Two paths:
 //
 //  * Fast path — every key of the command lives in one partition. The
-//    command is forwarded as a single kRoute frame and executed there as
-//    an ordinary local transaction: zero extra coordination, no 2PC
-//    frames on the wire (asserted by the grid e2e via the router
-//    metrics).
+//    command line is forwarded as is and executed there as an ordinary
+//    local transaction: zero extra coordination, no 2PC verbs on the
+//    wire (asserted by the grid e2e via the router metrics).
 //  * 2PC path — a multi-key write spanning partitions. The router runs
-//    two-phase commit (kPrepare/kDecide) against every participant; the
-//    participants stage and fork TARDiS-style (see twopc.h), so the only
-//    abort source is a failed/unreachable prepare.
+//    two-phase commit (the prepare/decide verbs of twopc_line.h) against
+//    every participant; the participants stage and fork TARDiS-style
+//    (see twopc.h), so the only abort source is a prepare that fails,
+//    is refused (any ERR reply) or cannot reach its participant.
 //
 // Statelessness: the router persists nothing. Transaction ids carry a
 // per-instance random high half over a counter low half so they stay
@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/framed_client.h"
+#include "client/line_connection.h"
 #include "cluster/partition_map.h"
 #include "core/session.h"
 #include "obs/metrics.h"
@@ -107,17 +107,18 @@ class Router {
   ///
   /// The caller binds the request's trace context (server::LineServer
   /// strips and binds a "*T<trace>/<span>/<flags>" header); the router
-  /// logs its spans under that trace and propagates the context on every
-  /// coordination frame it sends. A request that arrives without one is
-  /// sampled 1-in-N into a fresh trace (trace_sample).
+  /// logs its spans under that trace and propagates the context as a
+  /// `*T` header on every line it sends a partition. A request that
+  /// arrives without one is sampled 1-in-N into a fresh trace
+  /// (trace_sample).
   ///
   /// After the trace header, a request may carry an exactly-once session
   /// header ("*S...", DESIGN.md §13). Forwarded get/put lines keep the
-  /// header (the owning daemon dedups and checks floors); mput carries
-  /// the tag on its kRoute/kPrepare frames, and a sessioned
-  /// cross-partition mput derives its 2PC txn id from the request id so
-  /// a retry resolves the in-doubt transaction instead of starting a
-  /// second one. A corrupt or oversized header is rejected with a
+  /// header, as does a single-partition mput (the owning daemon dedups
+  /// and checks floors); a cross-partition mput carries the session tag
+  /// as prepare arguments and derives its 2PC txn id from the request
+  /// id, so a retry resolves the in-doubt transaction instead of
+  /// starting a second one. A corrupt or oversized header is rejected with a
   /// retryable "ERR HEADER ..." (never silently stripped).
   std::string Handle(const std::string& line, bool* close_conn);
 
@@ -135,15 +136,18 @@ class Router {
     std::string value;
   };
 
-  /// Sends `msg` to partition `p`, reconnecting once on a dead cached
-  /// connection. When deadline_ms is non-zero every wire operation's
-  /// timeout is clipped to the remaining budget and the call fails fast
-  /// once it is spent (the 2PC prepare phase must end strictly before
-  /// the participants' presumed-abort grace period).
-  Status CallPartition(uint32_t p, const ReplMessage& msg, ReplMessage* resp,
-                       uint64_t deadline_ms = 0);
+  /// Sends `line` to partition `p` under the bound trace context and
+  /// reads its reply (to END with `multi`), reconnecting once on a dead
+  /// cached connection. When deadline_ms is non-zero every wire
+  /// operation's timeout is clipped to the remaining budget and the call
+  /// fails fast once it is spent (the 2PC prepare phase must end
+  /// strictly before the participants' presumed-abort grace period).
+  Status CallPartition(uint32_t p, const std::string& line, bool multi,
+                       std::string* reply, uint64_t deadline_ms = 0);
 
-  std::string ForwardLine(uint32_t partition, const std::string& line);
+  /// CallPartition's reply, or "ERR partition <p> ..." when it failed.
+  std::string ForwardLine(uint32_t partition, const std::string& line,
+                          bool multi = false);
   std::string HandleMultiPut(const std::vector<WriteOp>& writes,
                              const SessionHeader& session);
   /// The 2PC path; `by_partition[i]` is partition_ids[i]'s write subset.
@@ -163,7 +167,7 @@ class Router {
   const PartitionMap map_;
   const RouterOptions options_;
   obs::MetricsRegistry* const registry_;
-  std::vector<std::unique_ptr<FramedClient>> clients_;  // one per partition
+  std::vector<std::unique_ptr<client::LineConnection>> conns_;  // by partition
 
   uint64_t next_txn_id_;  ///< random high half, counter low half (TxnIdSeed)
   uint64_t decide_delay_ms_ = 0;  ///< 2pc_delay test hook

@@ -6,43 +6,19 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 
 #include "core/constraints.h"
 #include "fault/fault_points.h"
 #include "net/wire.h"
 #include "obs/stage.h"
+#include "obs/trace.h"
 #include "util/clock.h"
 #include "util/logging.h"
 
 namespace tardis {
 namespace cluster {
-
-namespace {
-
-ReplMessage MakeAck(ReplMessage::Type type, uint64_t txn_id,
-                    TwoPhaseDecision decision, bool forked) {
-  ReplMessage ack;
-  ack.type = type;
-  ack.txn_id = txn_id;
-  ack.decision = static_cast<uint8_t>(decision);
-  ack.forked = forked;
-  return ack;
-}
-
-}  // namespace
-
-const char* TwoPhaseDecisionName(TwoPhaseDecision d) {
-  switch (d) {
-    case TwoPhaseDecision::kUnknown:
-      return "unknown";
-    case TwoPhaseDecision::kCommit:
-      return "commit";
-    case TwoPhaseDecision::kAbort:
-      return "abort";
-  }
-  return "?";
-}
 
 TwoPhaseParticipant::TwoPhaseParticipant(TardisStore* store,
                                          TwoPhaseOptions options)
@@ -69,6 +45,12 @@ TwoPhaseParticipant::TwoPhaseParticipant(TardisStore* store,
 }
 
 TwoPhaseParticipant::~TwoPhaseParticipant() {
+  {
+    std::lock_guard<std::mutex> guard(resolver_mu_);
+    resolver_stop_ = true;
+  }
+  resolver_cv_.notify_all();
+  if (resolver_.joinable()) resolver_.join();
   store_->metrics()->DropCallbacks(this);
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, p] : pending_) {
@@ -172,21 +154,17 @@ Status TwoPhaseParticipant::AppendLog(const ReplMessage& msg) {
 }
 
 Status TwoPhaseParticipant::HandlePrepare(const ReplMessage& msg,
-                                          ReplMessage* reply) {
+                                          TwoPhaseReply* reply) {
   std::lock_guard<std::mutex> lock(mu_);
   prepares_->Increment();
+  *reply = TwoPhaseReply{msg.txn_id, TwoPhaseDecision::kCommit, false};
 
   // Duplicate prepare (router retry): re-ack the standing vote.
-  if (pending_.count(msg.txn_id) != 0) {
-    *reply = MakeAck(ReplMessage::Type::kPrepareAck, msg.txn_id,
-                     TwoPhaseDecision::kCommit, false);
-    return Status::OK();
-  }
+  if (pending_.count(msg.txn_id) != 0) return Status::OK();
   auto decided = decided_.find(msg.txn_id);
   if (decided != decided_.end()) {
     // Already decided (late retry after the decide): vote matches fate.
-    *reply = MakeAck(ReplMessage::Type::kPrepareAck, msg.txn_id,
-                     decided->second.decision, false);
+    reply->decision = decided->second.decision;
     return Status::OK();
   }
 
@@ -200,8 +178,7 @@ Status TwoPhaseParticipant::HandlePrepare(const ReplMessage& msg,
                 static_cast<unsigned long long>(msg.txn_id),
                 s.ToString().c_str());
     decided_[msg.txn_id] = {TwoPhaseDecision::kAbort, NowMillis()};
-    *reply = MakeAck(ReplMessage::Type::kPrepareAck, msg.txn_id,
-                     TwoPhaseDecision::kAbort, false);
+    reply->decision = TwoPhaseDecision::kAbort;
     return Status::OK();
   }
 
@@ -232,9 +209,6 @@ Status TwoPhaseParticipant::HandlePrepare(const ReplMessage& msg,
     }
   }
   pending_[msg.txn_id] = std::move(p);
-
-  *reply = MakeAck(ReplMessage::Type::kPrepareAck, msg.txn_id,
-                   TwoPhaseDecision::kCommit, false);
   return Status::OK();
 }
 
@@ -324,53 +298,40 @@ Status TwoPhaseParticipant::RecordDecisionLocked(uint64_t txn_id,
   return Status::OK();
 }
 
-Status TwoPhaseParticipant::HandleDecide(const ReplMessage& msg,
-                                         ReplMessage* reply) {
-  const auto decision = static_cast<TwoPhaseDecision>(msg.decision);
+Status TwoPhaseParticipant::HandleDecide(uint64_t txn_id,
+                                         TwoPhaseDecision decision,
+                                         TwoPhaseReply* reply) {
   if (decision != TwoPhaseDecision::kCommit &&
       decision != TwoPhaseDecision::kAbort) {
     return Status::InvalidArgument("decide carries no decision");
   }
   std::lock_guard<std::mutex> lock(mu_);
+  *reply = TwoPhaseReply{txn_id, decision, false};
 
-  auto decided = decided_.find(msg.txn_id);
+  auto decided = decided_.find(txn_id);
   if (decided != decided_.end()) {
     // Duplicate decide: idempotent re-ack.
-    *reply = MakeAck(ReplMessage::Type::kDecideAck, msg.txn_id,
-                     decided->second.decision, false);
+    reply->decision = decided->second.decision;
     return Status::OK();
   }
-  auto it = pending_.find(msg.txn_id);
+  auto it = pending_.find(txn_id);
   if (it == pending_.end()) {
     // Never prepared here (or already presumed aborted and forgotten).
     // Answer abort for aborts; a commit for an unknown txn is a protocol
     // violation worth surfacing.
-    if (decision == TwoPhaseDecision::kAbort) {
-      *reply = MakeAck(ReplMessage::Type::kDecideAck, msg.txn_id,
-                       TwoPhaseDecision::kAbort, false);
-      return Status::OK();
-    }
+    if (decision == TwoPhaseDecision::kAbort) return Status::OK();
     return Status::InvalidArgument("decide-commit for unprepared txn");
   }
-
-  bool forked = false;
-  Status s = ApplyDecisionLocked(msg.txn_id, &it->second, decision, &forked);
-  if (!s.ok()) return s;
-  *reply = MakeAck(ReplMessage::Type::kDecideAck, msg.txn_id, decision,
-                   forked);
-  return Status::OK();
+  return ApplyDecisionLocked(txn_id, &it->second, decision, &reply->forked);
 }
 
-Status TwoPhaseParticipant::HandleTxnStatus(const ReplMessage& msg,
-                                            ReplMessage* reply) {
+TwoPhaseReply TwoPhaseParticipant::HandleTxnStatus(uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  TwoPhaseDecision d;
-  auto decided = decided_.find(msg.txn_id);
+  TwoPhaseReply reply{txn_id, TwoPhaseDecision::kUnknown, false};
+  auto decided = decided_.find(txn_id);
   if (decided != decided_.end()) {
-    d = decided->second.decision;
-  } else if (pending_.count(msg.txn_id) != 0) {
-    d = TwoPhaseDecision::kUnknown;  // in doubt here too
-  } else {
+    reply.decision = decided->second.decision;
+  } else if (pending_.count(txn_id) == 0) {
     // Presumed abort: no trace of it. The querying peer will act on this
     // answer (abort its prepared transaction), so the presumption must
     // be binding BEFORE it leaves this process — a router whose prepare
@@ -378,17 +339,59 @@ Status TwoPhaseParticipant::HandleTxnStatus(const ReplMessage& msg,
     // peer's abort and our commit split the transaction. If we cannot
     // persist the presumption, answer kUnknown instead: the peer simply
     // stays in doubt and retries.
-    d = TwoPhaseDecision::kAbort;
-    Status s = RecordDecisionLocked(msg.txn_id, TwoPhaseDecision::kAbort);
-    if (!s.ok()) {
+    Status s = RecordDecisionLocked(txn_id, TwoPhaseDecision::kAbort);
+    if (s.ok()) {
+      reply.decision = TwoPhaseDecision::kAbort;
+    } else {
       TARDIS_WARN("twopc: cannot persist presumed abort for txn %llu: %s",
-                  static_cast<unsigned long long>(msg.txn_id),
+                  static_cast<unsigned long long>(txn_id),
                   s.ToString().c_str());
-      d = TwoPhaseDecision::kUnknown;
     }
   }
-  *reply = MakeAck(ReplMessage::Type::kDecideAck, msg.txn_id, d, false);
-  return Status::OK();
+  // else: prepared and undecided here too — kUnknown.
+  return reply;
+}
+
+std::string TwoPhaseParticipant::Serve(const std::string& line) {
+  TwoPhaseRequest req;
+  Status s = ParseTwoPhaseRequest(line, &req);
+  if (!s.ok()) return "ERR " + s.ToString();
+  TwoPhaseReply reply;
+  switch (req.verb) {
+    case TwoPhaseRequest::Verb::kPrepare: {
+      TARDIS_TRACE_SPAN("coord", "prepare");
+      // The prepare record keeps the router's trace context, as the
+      // frames it replaced did.
+      const obs::TraceContext& ctx = obs::CurrentTraceContext();
+      req.prepare.trace_id = ctx.trace_id;
+      req.prepare.trace_span = ctx.span_id;
+      req.prepare.trace_sampled = ctx.sampled;
+      s = HandlePrepare(req.prepare, &reply);
+      break;
+    }
+    case TwoPhaseRequest::Verb::kDecide: {
+      TARDIS_TRACE_SPAN("coord", "decide");
+      s = HandleDecide(req.txn_id, req.decision, &reply);
+      break;
+    }
+    case TwoPhaseRequest::Verb::kTxnStatus:
+      reply = HandleTxnStatus(req.txn_id);
+      break;
+  }
+  if (!s.ok()) return "ERR " + s.ToString();
+  return FormatTwoPhaseReply(reply);
+}
+
+void TwoPhaseParticipant::StartResolver(uint64_t interval_ms) {
+  resolver_ = std::thread([this, interval_ms] {
+    std::unique_lock<std::mutex> lock(resolver_mu_);
+    while (!resolver_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
+                                  [this] { return resolver_stop_; })) {
+      lock.unlock();
+      ResolveInDoubt();
+      lock.lock();
+    }
+  });
 }
 
 size_t TwoPhaseParticipant::ResolveInDoubt() {

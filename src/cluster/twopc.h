@@ -11,11 +11,15 @@
 // read-write race.
 //
 // Durability: every prepare and decide is appended (as a CRC32-framed
-// ReplMessage, the same codec as the wire) to <dir>/twopc.log and fsynced
+// ReplMessage, the replication wire codec) to <dir>/twopc.log and fsynced
 // before it is acknowledged — except the decide *apply* happens before
 // the decide record is logged. Re-applying a decide after a crash is
 // benign (idempotent by txn id); a logged decide whose apply never
 // happened would lose a committed write, which is not.
+//
+// The router and peers reach a participant through three line-protocol
+// verbs on the daemon's coordination port (twopc_line.h); Serve() parses
+// and answers one such line.
 //
 // Recovery and the stateless router: the router keeps no durable state,
 // so a participant left in doubt (prepared, no decide) resolves
@@ -35,14 +39,17 @@
 #ifndef TARDIS_CLUSTER_TWOPC_H_
 #define TARDIS_CLUSTER_TWOPC_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cluster/twopc_line.h"
 #include "core/tardis_store.h"
 #include "obs/metrics.h"
 #include "replication/message.h"
@@ -50,14 +57,6 @@
 
 namespace tardis {
 namespace cluster {
-
-enum class TwoPhaseDecision : uint8_t {
-  kUnknown = 0,  ///< prepared, outcome not yet known
-  kCommit = 1,
-  kAbort = 2,
-};
-
-const char* TwoPhaseDecisionName(TwoPhaseDecision d);
 
 struct TwoPhaseOptions {
   /// Directory for twopc.log. Empty = no durability (in-memory stores /
@@ -83,8 +82,8 @@ struct TwoPhaseOptions {
   uint64_t decided_retention_ms = 600'000;
   /// Queries one peer for its decision on txn_id. Injected so tests and
   /// the in-process chaos harness can answer without sockets; tardisd
-  /// wires this to a FramedClient kTxnStatus call. An error return means
-  /// "unreachable" (the txn stays in doubt).
+  /// sends a `txnstatus` line to the peer's coordination port. An error
+  /// return means "unreachable" (the txn stays in doubt).
   std::function<Status(const std::string& endpoint, uint64_t txn_id,
                        TwoPhaseDecision* decision)>
       query_peer;
@@ -109,31 +108,43 @@ class TwoPhaseParticipant {
   /// corrupt frame.
   Status Recover();
 
-  /// kPrepare -> kPrepareAck. Stages the write set, persists the prepare
+  /// Parses one 2PC request line (twopc_line.h), runs it under the
+  /// caller's bound trace context and returns the `2PC ...` reply, or
+  /// "ERR ..." for a malformed line or a failed handler.
+  std::string Serve(const std::string& line);
+
+  /// prepare: stages the write set of a kPrepare record, persists the
   /// record, votes commit; votes abort when persistence fails (fault
   /// point "twopc.prepare.persist"). Duplicate prepares re-ack the
   /// original vote.
-  Status HandlePrepare(const ReplMessage& msg, ReplMessage* reply);
+  Status HandlePrepare(const ReplMessage& prepare, TwoPhaseReply* reply);
 
-  /// kDecide -> kDecideAck. Applies the decision (commit may fork — see
-  /// file comment; fault point "twopc.decide.apply"), then logs it.
-  /// Idempotent: a repeated decide re-acks without re-applying.
-  Status HandleDecide(const ReplMessage& msg, ReplMessage* reply);
+  /// decide: applies the decision (commit may fork — see file comment;
+  /// fault point "twopc.decide.apply"), then logs it. Idempotent: a
+  /// repeated decide re-acks without re-applying.
+  Status HandleDecide(uint64_t txn_id, TwoPhaseDecision decision,
+                      TwoPhaseReply* reply);
 
-  /// kTxnStatus -> kDecideAck carrying this participant's view: the
-  /// logged decision, kUnknown while prepared-undecided, and kAbort for
-  /// transactions never seen (presumed abort). The presumption is made
-  /// durable before it is answered — the querying peer acts on it, so a
-  /// later prepare or decide for the same txn must see the same fate; if
-  /// it cannot be persisted the answer degrades to kUnknown.
-  Status HandleTxnStatus(const ReplMessage& msg, ReplMessage* reply);
+  /// txnstatus: this participant's view — the logged decision, kUnknown
+  /// while prepared-undecided, and kAbort for transactions never seen
+  /// (presumed abort). The presumption is made durable before it is
+  /// answered — the querying peer acts on it, so a later prepare or
+  /// decide for the same txn must see the same fate; if it cannot be
+  /// persisted the answer degrades to kUnknown.
+  TwoPhaseReply HandleTxnStatus(uint64_t txn_id);
 
   /// One cooperative-termination pass over transactions in doubt longer
   /// than resolve_grace_ms, plus garbage collection of decided entries
   /// older than decided_retention_ms (compacting twopc.log when any are
   /// dropped). Returns the number of in-doubt transactions resolved.
-  /// Driven by the daemon's resolver thread (or directly by tests).
+  /// Driven by the resolver thread (or directly by tests).
   size_t ResolveInDoubt();
+
+  /// Starts the resolver thread: ResolveInDoubt every interval_ms, off
+  /// the serving path, so a peer query waiting on an unreachable peer
+  /// never delays a request. The destructor stops it. Call once, after
+  /// Recover().
+  void StartResolver(uint64_t interval_ms);
 
   size_t in_doubt_count() const;
 
@@ -181,6 +192,11 @@ class TwoPhaseParticipant {
   std::map<uint64_t, Pending> pending_;
   std::map<uint64_t, Decided> decided_;
   int log_fd_ = -1;
+
+  std::mutex resolver_mu_;
+  std::condition_variable resolver_cv_;
+  bool resolver_stop_ = false;  // guarded by resolver_mu_
+  std::thread resolver_;
 
   obs::Counter* prepares_ = nullptr;
   obs::Counter* forked_commits_ = nullptr;

@@ -757,15 +757,4 @@ Status TardisStore::Recover() {
   return Status::OK();
 }
 
-StoreStats TardisStore::stats() const {
-  StoreStats s;
-  s.commits = commits_total_->Value();
-  s.aborts = aborts_total_->Value();
-  s.read_only_commits = read_only_commits_total_->Value();
-  s.remote_applied = remote_applied_total_->Value();
-  s.branches_created = forks_total_->Value();
-  s.merges_committed = merges_total_->Value();
-  return s;
-}
-
 }  // namespace tardis

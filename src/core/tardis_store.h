@@ -77,18 +77,6 @@ struct CommitRecord {
   uint64_t session_seq = 0;
 };
 
-/// Compatibility snapshot of the per-site transaction counters. The
-/// authoritative storage is the metrics registry (see
-/// TardisStore::metrics()); stats() materializes this view from it.
-struct StoreStats {
-  uint64_t commits = 0;
-  uint64_t aborts = 0;
-  uint64_t read_only_commits = 0;
-  uint64_t remote_applied = 0;
-  uint64_t branches_created = 0;  ///< commits that forked the DAG
-  uint64_t merges_committed = 0;
-};
-
 class TardisStore {
  public:
   static StatusOr<std::unique_ptr<TardisStore>> Open(
@@ -168,7 +156,6 @@ class TardisStore {
   /// gauges, GC counters; the replicator and transport register here too
   /// when they share the registry).
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
-  StoreStats stats() const;
   uint32_t site_id() const { return dag_.site_id(); }
   /// The per-site exactly-once dedup table (DESIGN.md §13). Fed by every
   /// tagged commit path — local, remote, recovery — so request handlers

@@ -49,10 +49,8 @@ bool GetWrites(Slice* in, WriteSet* writes) {
   return true;
 }
 
-/// Trace context carried by the coordination frames a request fans out
-/// through (kRoute/kPrepare/kDecide), so every hop logs spans under the
-/// originating trace id. Encoded unconditionally — three bytes when
-/// untraced.
+/// Trace context of the request behind a 2PC record (kPrepare/kDecide).
+/// Encoded unconditionally — three bytes when untraced.
 void PutTrace(std::string* out, const ReplMessage& msg) {
   PutVarint64(out, msg.trace_id);
   PutVarint64(out, msg.trace_span);
@@ -68,9 +66,8 @@ bool GetTrace(Slice* in, ReplMessage* msg) {
   return true;
 }
 
-/// Exactly-once session tag on the frames that execute client writes
-/// (kRoute/kPrepare). Encoded unconditionally — two bytes when
-/// unsessioned.
+/// Exactly-once session tag of a prepared client write (kPrepare).
+/// Encoded unconditionally — two bytes when unsessioned.
 void PutSession(std::string* out, const ReplMessage& msg) {
   PutVarint64(out, msg.session_id);
   PutVarint64(out, msg.session_seq);
@@ -144,17 +141,6 @@ void EncodeReplMessage(const ReplMessage& msg, std::string* out) {
     case ReplMessage::Type::kHello:
     case ReplMessage::Type::kHelloAck:
       break;  // identity is the from_site varint every payload carries
-    case ReplMessage::Type::kRoute:
-      PutVarint64(out, msg.txn_id);
-      PutLengthPrefixed(out, Slice(msg.text));
-      PutWrites(out, msg.commit.writes);
-      PutTrace(out, msg);
-      PutSession(out, msg);
-      break;
-    case ReplMessage::Type::kRouteReply:
-      PutVarint64(out, msg.txn_id);
-      PutLengthPrefixed(out, Slice(msg.text));
-      break;
     case ReplMessage::Type::kPrepare:
       PutVarint64(out, msg.txn_id);
       PutWrites(out, msg.commit.writes);
@@ -165,22 +151,10 @@ void EncodeReplMessage(const ReplMessage& msg, std::string* out) {
       PutTrace(out, msg);
       PutSession(out, msg);
       break;
-    case ReplMessage::Type::kPrepareAck:
-      PutVarint64(out, msg.txn_id);
-      out->push_back(static_cast<char>(msg.decision));
-      break;
     case ReplMessage::Type::kDecide:
       PutVarint64(out, msg.txn_id);
       out->push_back(static_cast<char>(msg.decision));
       PutTrace(out, msg);
-      break;
-    case ReplMessage::Type::kDecideAck:
-      PutVarint64(out, msg.txn_id);
-      out->push_back(static_cast<char>(msg.decision));
-      out->push_back(msg.forked ? 1 : 0);
-      break;
-    case ReplMessage::Type::kTxnStatus:
-      PutVarint64(out, msg.txn_id);
       break;
   }
 }
@@ -194,7 +168,9 @@ Status DecodeReplMessage(Slice payload, ReplMessage* out) {
                               std::to_string(version));
   }
   const uint8_t type_byte = static_cast<uint8_t>(in[1]);
-  if (type_byte > static_cast<uint8_t>(ReplMessage::Type::kTxnStatus)) {
+  if (type_byte > static_cast<uint8_t>(ReplMessage::Type::kHelloAck) &&
+      type_byte != static_cast<uint8_t>(ReplMessage::Type::kPrepare) &&
+      type_byte != static_cast<uint8_t>(ReplMessage::Type::kDecide)) {
     return Status::Corruption("unknown message type " +
                               std::to_string(type_byte));
   }
@@ -266,37 +242,6 @@ Status DecodeReplMessage(Slice payload, ReplMessage* out) {
     case ReplMessage::Type::kHello:
     case ReplMessage::Type::kHelloAck:
       break;
-    case ReplMessage::Type::kRoute: {
-      if (!GetVarint64(&in, &msg.txn_id)) {
-        return Status::Corruption("bad txn id");
-      }
-      Slice text;
-      if (!GetLengthPrefixed(&in, &text)) {
-        return Status::Corruption("bad route command");
-      }
-      msg.text = text.ToString();
-      if (!GetWrites(&in, &msg.commit.writes)) {
-        return Status::Corruption("bad route write set");
-      }
-      if (!GetTrace(&in, &msg)) {
-        return Status::Corruption("bad route trace context");
-      }
-      if (!GetSession(&in, &msg)) {
-        return Status::Corruption("bad route session tag");
-      }
-      break;
-    }
-    case ReplMessage::Type::kRouteReply: {
-      if (!GetVarint64(&in, &msg.txn_id)) {
-        return Status::Corruption("bad txn id");
-      }
-      Slice text;
-      if (!GetLengthPrefixed(&in, &text)) {
-        return Status::Corruption("bad route reply");
-      }
-      msg.text = text.ToString();
-      break;
-    }
     case ReplMessage::Type::kPrepare: {
       if (!GetVarint64(&in, &msg.txn_id)) {
         return Status::Corruption("bad txn id");
@@ -324,14 +269,6 @@ Status DecodeReplMessage(Slice payload, ReplMessage* out) {
       }
       break;
     }
-    case ReplMessage::Type::kPrepareAck:
-      if (!GetVarint64(&in, &msg.txn_id)) {
-        return Status::Corruption("bad txn id");
-      }
-      if (in.empty()) return Status::Corruption("missing decision byte");
-      msg.decision = static_cast<uint8_t>(in[0]);
-      in.remove_prefix(1);
-      break;
     case ReplMessage::Type::kDecide:
       if (!GetVarint64(&in, &msg.txn_id)) {
         return Status::Corruption("bad txn id");
@@ -341,20 +278,6 @@ Status DecodeReplMessage(Slice payload, ReplMessage* out) {
       in.remove_prefix(1);
       if (!GetTrace(&in, &msg)) {
         return Status::Corruption("bad decide trace context");
-      }
-      break;
-    case ReplMessage::Type::kDecideAck:
-      if (!GetVarint64(&in, &msg.txn_id)) {
-        return Status::Corruption("bad txn id");
-      }
-      if (in.size() < 2) return Status::Corruption("short decide ack");
-      msg.decision = static_cast<uint8_t>(in[0]);
-      msg.forked = in[1] != 0;
-      in.remove_prefix(2);
-      break;
-    case ReplMessage::Type::kTxnStatus:
-      if (!GetVarint64(&in, &msg.txn_id)) {
-        return Status::Corruption("bad txn id");
       }
       break;
   }

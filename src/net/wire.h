@@ -3,11 +3,10 @@
 // (§6.4); we use a hand-rolled length-prefixed framing in the same
 // varint/length-prefix style as the commit log and WAL.
 //
-// The same framing carries the cluster coordination traffic: the
-// stateless tardis-router and the partition daemons exchange
-// kRoute/kRouteReply (fast-path execution) and kPrepare/kPrepareAck/
-// kDecide/kDecideAck/kTxnStatus (cross-partition two-phase commit) frames
-// over a daemon's --coord-port (see src/cluster/ and DESIGN.md §10).
+// The same framing stores a 2PC participant's twopc.log: one kPrepare or
+// kDecide record per frame (see src/cluster/twopc.h and DESIGN.md §10).
+// The router and the partition daemons themselves speak the line
+// protocol, not these frames.
 //
 // Frame layout (all fixed-width fields little-endian):
 //
@@ -42,10 +41,11 @@
 
 namespace tardis {
 
-/// Current wire format version. Bump on incompatible payload changes.
-/// v2: kRoute/kPrepare/kDecide carry a trailing distributed-trace
-/// context (trace_id, trace_span, sampled) — see DESIGN.md §7.
-/// v3: kRoute/kPrepare carry an exactly-once session tag after the trace
+/// Current wire format version. Bump on incompatible payload changes
+/// (twopc.log records carry it too, so a bump orphans existing logs).
+/// v2: kPrepare/kDecide carry a trailing distributed-trace context
+/// (trace_id, trace_span, sampled) — see DESIGN.md §7.
+/// v3: kPrepare carries an exactly-once session tag after the trace
 /// context, and CommitRecord carries the tag of the commit it replicates
 /// (DESIGN.md §13).
 inline constexpr uint8_t kWireVersion = 3;

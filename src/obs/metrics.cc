@@ -182,5 +182,15 @@ std::vector<Sample> MetricsRegistry::Collect() const {
   return out;
 }
 
+uint64_t MetricsRegistry::CounterTotal(const std::string& name) const {
+  std::lock_guard<std::mutex> guard(mu_);
+  uint64_t total = 0;
+  for (const auto& e : entries_) {
+    if (e->name != name || e->kind != MetricKind::kCounter) continue;
+    total += e->counter_fn ? e->counter_fn() : e->counter->Value();
+  }
+  return total;
+}
+
 }  // namespace obs
 }  // namespace tardis

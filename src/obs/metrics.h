@@ -152,6 +152,11 @@ class MetricsRegistry {
   /// Snapshots all metrics, sorted by (name, labels) for stable output.
   std::vector<Sample> Collect() const;
 
+  /// The sum of every counter series named `name` (0 when none): one
+  /// counter read without a full snapshot, e.g. a store's
+  /// tardis_txn_forks_total.
+  uint64_t CounterTotal(const std::string& name) const;
+
  private:
   struct Entry {
     std::string name;

@@ -7,6 +7,7 @@
 #define TARDIS_REPLICATION_MESSAGE_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/tardis_store.h"
@@ -24,14 +25,11 @@ struct ReplMessage {
     kSnapshot,        ///< bootstrap: topologically ordered commit replay
     kHello,           ///< transport handshake: first frame on a dialed conn
     kHelloAck,        ///< transport handshake: acceptor's reply
-    // Coordination frames (router <-> partition daemon; see src/cluster/).
-    kRoute,           ///< router: execute a command / write set, fast path
-    kRouteReply,      ///< daemon: reply to kRoute (text body)
-    kPrepare,         ///< 2PC phase 1: stage a partition's write set
-    kPrepareAck,      ///< participant vote (decision: commit/abort)
-    kDecide,          ///< 2PC phase 2: decision; also the kTxnStatus answer
-    kDecideAck,       ///< decision applied (forked = DAG forked on apply)
-    kTxnStatus,       ///< recovery: ask a participant for its decision
+    // 2PC records of a participant's twopc.log (see src/cluster/twopc.h).
+    // Their values are on disk, so they never change; the gaps are the
+    // retired coordination frames.
+    kPrepare = 11,    ///< 2PC phase 1: a partition's staged write set
+    kDecide = 13,     ///< 2PC phase 2: the decision
   };
 
   ReplMessage() = default;
@@ -64,24 +62,14 @@ struct ReplMessage {
   /// one message so floor adoption is all-or-nothing.
   std::vector<CommitRecord> snapshot;
 
-  // ---- coordination (kRoute*/kPrepare*/kDecide*/kTxnStatus) ---------------
+  // ---- 2PC records (kPrepare/kDecide) -------------------------------------
 
   /// Distributed transaction id, unique per router-coordinated commit.
   uint64_t txn_id = 0;
 
-  /// kPrepareAck: the participant's vote; kDecide/kDecideAck: the
-  /// coordinator's decision (or kUnknown when answering kTxnStatus for a
-  /// still-in-doubt transaction). Values match cluster::TwoPhaseDecision:
+  /// kDecide: the decision. Values match cluster::TwoPhaseDecision:
   /// 0 = unknown, 1 = commit, 2 = abort.
   uint8_t decision = 0;
-
-  /// kDecideAck: applying the decision forked the participant's State DAG
-  /// (branch-on-conflict instead of abort).
-  bool forked = false;
-
-  /// kRoute: the line-protocol command to execute (empty when the route
-  /// carries a write set in commit.writes); kRouteReply: the reply body.
-  std::string text;
 
   /// kPrepare: coordination endpoints ("host:port") of every participant
   /// daemon of this transaction, self included — persisted with the
@@ -89,19 +77,16 @@ struct ReplMessage {
   /// termination after a coordinator crash.
   std::vector<std::string> endpoints;
 
-  /// kRoute/kPrepare/kDecide: distributed trace context (DESIGN.md §7).
-  /// trace_id 0 = untraced; otherwise the receiver binds the context so
-  /// its spans land under the same trace as the sender's. trace_span is
-  /// the sender's span (the receiver's parent).
+  /// kPrepare/kDecide: distributed trace context (DESIGN.md §7) of the
+  /// request that wrote the record; trace_id 0 = untraced. trace_span is
+  /// the sender's span.
   uint64_t trace_id = 0;
   uint64_t trace_span = 0;
   bool trace_sampled = false;
 
-  /// kRoute/kPrepare: exactly-once client session tag (DESIGN.md §13).
-  /// session_id 0 = unsessioned. The executing daemon dedups the request
-  /// against its per-session table and tags the resulting commit, and on
-  /// kPrepare persists the tag with the prepare record so a crash-
-  /// recovered decision still commits tagged.
+  /// kPrepare: exactly-once client session tag (DESIGN.md §13).
+  /// session_id 0 = unsessioned. Persisted with the prepare record so a
+  /// crash-recovered decision still commits tagged.
   uint64_t session_id = 0;
   uint64_t session_seq = 0;
 };

@@ -421,6 +421,9 @@ void Replicator::HandleMessage(const ReplMessage& msg) {
     case ReplMessage::Type::kHello:
     case ReplMessage::Type::kHelloAck:
       break;  // transport-level; consumed by TcpTransport, ignored here
+    case ReplMessage::Type::kPrepare:
+    case ReplMessage::Type::kDecide:
+      break;  // twopc.log records; never gossiped
   }
 }
 

@@ -20,8 +20,11 @@ namespace {
 
 /// A hostile client cannot make the server buffer without limit.
 constexpr size_t kMaxInbuf = 1u << 20;
-/// Drain gives up on unfinished work after this long.
+/// Drain runs queued requests for this long; past it, the ones still
+/// queued are refused instead.
 constexpr uint64_t kDrainBudgetMs = 10'000;
+constexpr const char* kShuttingDown =
+    "ERR SHUTTING_DOWN site draining; retry elsewhere\n";
 
 /// The server that owns SIGTERM/SIGINT (DrainOnTermSignals).
 std::atomic<LineServer*> g_signal_server{nullptr};
@@ -39,7 +42,9 @@ LineServer::LineServer(LineServerOptions options, HandlerFactory factory)
 LineServer::~LineServer() {
   LineServer* self = this;
   g_signal_server.compare_exchange_strong(self, nullptr);
-  if (listen_fd_ >= 0) close(listen_fd_);
+  for (int fd : listen_fds_) {
+    if (fd >= 0) close(fd);
+  }
   for (int fd : wake_pipe_) {
     if (fd >= 0) close(fd);
   }
@@ -47,10 +52,14 @@ LineServer::~LineServer() {
 }
 
 Status LineServer::Listen() {
-  auto listener = ListenTcp("", options_.port);
-  if (!listener.ok()) return listener.status();
-  listen_fd_ = listener->fd;
-  port_ = listener->port;
+  const uint16_t wanted[2] = {options_.port, options_.second_port};
+  for (int i = 0; i < 2; i++) {
+    if (i == 1 && wanted[1] == 0) break;
+    auto listener = ListenTcp("", wanted[i]);
+    if (!listener.ok()) return listener.status();
+    listen_fds_[i] = listener->fd;
+    ports_[i] = listener->port;
+  }
   if (pipe(wake_pipe_) != 0) {
     return Status::IOError("pipe: " + std::string(strerror(errno)));
   }
@@ -153,9 +162,29 @@ void LineServer::BeginDrain() {
     queued = queue_.size();
   }
   TARDIS_INFO("draining (listen closed, %zu queued)", queued);
-  close(listen_fd_);
-  listen_fd_ = -1;
+  for (int& fd : listen_fds_) {
+    if (fd >= 0) close(fd);
+    fd = -1;
+  }
   drain_deadline_ms_ = NowMillis() + kDrainBudgetMs;
+}
+
+void LineServer::CancelQueued() {
+  std::deque<Request> cancelled;
+  {
+    std::lock_guard<std::mutex> guard(queue_mu_);
+    cancelled.swap(queue_);
+  }
+  queue_depth_.fetch_sub(cancelled.size());
+  TARDIS_INFO("drain budget spent: refusing %zu queued request(s)",
+              cancelled.size());
+  for (const Request& req : cancelled) {
+    auto it = conns_.find(req.conn_id);
+    if (it == conns_.end()) continue;  // client went away while queued
+    it->second.busy = false;
+    it->second.outbuf += kShuttingDown;
+    PumpConn(req.conn_id, it->second);
+  }
 }
 
 void LineServer::PumpConn(uint64_t id, Conn& conn) {
@@ -167,7 +196,7 @@ void LineServer::PumpConn(uint64_t id, Conn& conn) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     if (draining_.load()) {
-      conn.outbuf += "ERR SHUTTING_DOWN site draining; retry elsewhere\n";
+      conn.outbuf += kShuttingDown;
       continue;
     }
     bool shed = false;
@@ -265,13 +294,21 @@ void LineServer::WriteConn(uint64_t id, Conn& conn,
   if (conn.close_after_flush && !conn.busy) to_close->push_back(id);
 }
 
+bool LineServer::AnyBusy() const {
+  for (const auto& [id, conn] : conns_) {
+    if (conn.busy) return true;
+  }
+  return false;
+}
+
 bool LineServer::Drained() {
   {
     std::lock_guard<std::mutex> guard(queue_mu_);
     if (!queue_.empty()) return false;
   }
+  if (AnyBusy()) return false;
   for (const auto& [id, conn] : conns_) {
-    if (conn.busy || conn.out_off < conn.outbuf.size()) return false;
+    if (conn.out_off < conn.outbuf.size()) return false;
   }
   return true;
 }
@@ -285,7 +322,10 @@ void LineServer::Run() {
     std::vector<pollfd> pfds;
     std::vector<uint64_t> conn_ids;
     pfds.push_back({wake_pipe_[0], POLLIN, 0});
-    pfds.push_back({listen_fd_, POLLIN, 0});  // -1 (ignored) once draining
+    // -1 (ignored by poll) when absent or once draining.
+    pfds.push_back({listen_fds_[0], POLLIN, 0});
+    pfds.push_back({listen_fds_[1], POLLIN, 0});
+    constexpr size_t kFirstConn = 3;
     for (auto& [id, conn] : conns_) {
       short events = POLLIN;
       if (conn.out_off < conn.outbuf.size()) events |= POLLOUT;
@@ -305,10 +345,16 @@ void LineServer::Run() {
     }
     if (drain_requested_.load()) BeginDrain();
     DeliverCompletions();
+    if (draining_.load() && !queue_cancelled_ &&
+        NowMillis() >= drain_deadline_ms_) {
+      queue_cancelled_ = true;
+      CancelQueued();
+    }
 
-    if (listen_fd_ >= 0 && (pfds[1].revents & POLLIN)) {
+    for (int i = 0; i < 2; i++) {
+      if (listen_fds_[i] < 0 || !(pfds[1 + i].revents & POLLIN)) continue;
       while (true) {
-        const int fd = accept(listen_fd_, nullptr, nullptr);
+        const int fd = accept(listen_fds_[i], nullptr, nullptr);
         if (fd < 0) break;
         SetNonBlocking(fd);
         Conn conn;
@@ -319,8 +365,8 @@ void LineServer::Run() {
     }
 
     std::vector<uint64_t> to_close;
-    for (size_t p = 2; p < pfds.size(); p++) {
-      const uint64_t id = conn_ids[p - 2];
+    for (size_t p = kFirstConn; p < pfds.size(); p++) {
+      const uint64_t id = conn_ids[p - kFirstConn];
       auto it = conns_.find(id);
       if (it == conns_.end()) continue;
       Conn& conn = it->second;
@@ -348,7 +394,9 @@ void LineServer::Run() {
       conns_.erase(it);
     }
 
-    if (draining_.load() && (Drained() || NowMillis() >= drain_deadline_ms_)) {
+    // Past the budget nothing is queued any more; stop once no handler
+    // runs, after this pass tried to write every reply.
+    if (draining_.load() && (Drained() || (queue_cancelled_ && !AnyBusy()))) {
       break;
     }
   }

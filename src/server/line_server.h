@@ -1,5 +1,6 @@
 // LineServer: the one serving core behind every line-protocol front end,
-// tardisd's client port and tardis-router. A non-blocking poll loop with
+// tardisd's client and coordination ports and tardis-router. A
+// non-blocking poll loop over one or two listen ports with
 // one request in flight per connection (replies stay in order), a bounded
 // queue drained by a worker pool, ERR BUSY / ERR DEADLINE /
 // ERR SHUTTING_DOWN, a 1 MiB input guard, "*T" trace-header binding, and
@@ -28,6 +29,9 @@ namespace server {
 
 struct LineServerOptions {
   uint16_t port = 0;  ///< 0 binds an ephemeral port (see port())
+  /// A second port served exactly like the first (tardisd's
+  /// --coord-port); 0 = none.
+  uint16_t second_port = 0;
   uint32_t workers = 4;
   size_t max_queue = 128;               ///< queued requests before ERR BUSY
   uint64_t request_deadline_ms = 1000;  ///< max queue wait; 0 = unbounded
@@ -64,9 +68,10 @@ class LineServer {
   LineServer(const LineServer&) = delete;
   LineServer& operator=(const LineServer&) = delete;
 
-  /// Binds the listen socket; port() then names the bound port.
+  /// Binds the listen socket(s); port() then names the bound port.
   Status Listen();
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return ports_[0]; }
+  uint16_t second_port() const { return ports_[1]; }  ///< 0 = none
 
   /// Registers the serving metrics on `registry`: <prefix>_queue_depth
   /// (gauge), <prefix>_shed_total and <prefix>_deadline_expired_total
@@ -82,8 +87,11 @@ class LineServer {
   void DrainOnTermSignals();
 
   /// Starts the workers and serves until a drain completes, then joins
-  /// the workers and closes every connection. Call once, after a
-  /// successful Listen().
+  /// the workers and closes every connection. A drain answers everything
+  /// queued within its budget (10 s); past it, requests still queued get
+  /// ERR SHUTTING_DOWN, and Run() waits for running handlers and writes
+  /// their replies before it returns. Call once, after a successful
+  /// Listen().
   void Run();
 
   /// Starts a drain. Safe from any thread and from a signal handler.
@@ -123,12 +131,16 @@ class LineServer {
   void ReadConn(uint64_t id, Conn& conn, std::vector<uint64_t>* to_close);
   void WriteConn(uint64_t id, Conn& conn, std::vector<uint64_t>* to_close);
   void DeliverCompletions();
+  /// Past the drain budget: answers every queued request ERR
+  /// SHUTTING_DOWN instead of running it.
+  void CancelQueued();
+  bool AnyBusy() const;
   bool Drained();
 
   const LineServerOptions options_;
   const HandlerFactory factory_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  int listen_fds_[2] = {-1, -1};  ///< port and second_port (-1 = none)
+  uint16_t ports_[2] = {0, 0};
   /// Worker completions and drain requests wake the poll loop here.
   int wake_pipe_[2] = {-1, -1};
 
@@ -145,6 +157,7 @@ class LineServer {
   std::map<uint64_t, Conn> conns_;
   uint64_t next_conn_id_ = 1;
   uint64_t drain_deadline_ms_ = 0;
+  bool queue_cancelled_ = false;
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;

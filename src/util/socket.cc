@@ -47,16 +47,38 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-bool ParsePort(std::string_view text, uint16_t* port) {
-  if (text.empty() || text.size() > 5) return false;
-  uint32_t value = 0;
+bool ParseUint(std::string_view text, uint64_t lo, uint64_t hi,
+               uint64_t* value) {
+  if (text.empty()) return false;
+  uint64_t v = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint32_t>(c - '0');
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;  // overflow
+    v = v * 10 + digit;
   }
-  if (value == 0 || value > 65535) return false;
-  *port = static_cast<uint16_t>(value);
+  if (v < lo || v > hi) return false;
+  *value = v;
   return true;
+}
+
+bool ParsePort(std::string_view text, uint16_t* port) {
+  uint64_t v = 0;
+  if (!ParseUint(text, 1, 65535, &v)) return false;
+  *port = static_cast<uint16_t>(v);
+  return true;
+}
+
+Status ParseEndpoint(std::string_view endpoint, std::string* host,
+                     uint16_t* port) {
+  const size_t colon = endpoint.rfind(':');
+  if (colon == std::string_view::npos || colon == 0 ||
+      !ParsePort(endpoint.substr(colon + 1), port)) {
+    return Status::InvalidArgument("endpoint must be host:port, got \"" +
+                                   std::string(endpoint) + "\"");
+  }
+  *host = std::string(endpoint.substr(0, colon));
+  return Status::OK();
 }
 
 }  // namespace tardis

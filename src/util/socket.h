@@ -1,7 +1,7 @@
-// TCP listen-socket set-up and port-flag parsing shared by every server in
-// the tree: the line-protocol server (tardisd's client port and the
-// router), the cluster coordination server, the replication transport and
-// the metrics HTTP exporter.
+// TCP listen-socket set-up and flag/endpoint parsing shared by every
+// server in the tree: the line-protocol server (tardisd's client and
+// coordination ports and the router), the replication transport and the
+// metrics HTTP exporter.
 
 #ifndef TARDIS_UTIL_SOCKET_H_
 #define TARDIS_UTIL_SOCKET_H_
@@ -29,10 +29,20 @@ StatusOr<TcpListener> ListenTcp(const std::string& host, uint16_t port,
 /// Sets O_NONBLOCK on `fd` (a failed fcntl leaves it blocking).
 void SetNonBlocking(int fd);
 
-/// Parses a TCP port flag value: decimal digits only, 1..65535. Anything
-/// else (empty, signed, trailing junk, 0, out of range) returns false and
-/// leaves *port alone, so a typo cannot wrap to another port.
+/// Parses a numeric flag value: decimal digits only, within [lo, hi].
+/// Anything else (empty, signed, trailing junk, out of range, overflow)
+/// returns false and leaves *value alone, so a typo cannot wrap or
+/// truncate to another setting.
+bool ParseUint(std::string_view text, uint64_t lo, uint64_t hi,
+               uint64_t* value);
+
+/// ParseUint's TCP port case: 1..65535.
 bool ParsePort(std::string_view text, uint16_t* port);
+
+/// Splits "host:port" (the last ':' wins, so bare IPv6 is not supported).
+/// InvalidArgument when the host is empty or the port fails ParsePort.
+Status ParseEndpoint(std::string_view endpoint, std::string* host,
+                     uint16_t* port);
 
 }  // namespace tardis
 

@@ -1014,13 +1014,7 @@ bool RunTwoPcSchedule(uint64_t seed, bool verbose) {
                             cluster::TwoPhaseDecision* decision) {
       const int peer = endpoint == "p0" ? 0 : 1;
       if (!parts[peer]) return Status::Unavailable("peer down");
-      ReplMessage req;
-      req.type = ReplMessage::Type::kTxnStatus;
-      req.txn_id = txn_id;
-      ReplMessage resp;
-      Status s = parts[peer]->HandleTxnStatus(req, &resp);
-      if (!s.ok()) return s;
-      *decision = static_cast<cluster::TwoPhaseDecision>(resp.decision);
+      *decision = parts[peer]->HandleTxnStatus(txn_id).decision;
       return Status::OK();
     };
     parts[p] = std::make_unique<cluster::TwoPhaseParticipant>(
@@ -1046,10 +1040,9 @@ bool RunTwoPcSchedule(uint64_t seed, bool verbose) {
     prep.endpoints = {"p0", "p1"};
     prep.commit.writes.emplace_back(
         "x" + std::to_string(p), std::make_shared<const std::string>(value));
-    ReplMessage ack;
+    cluster::TwoPhaseReply ack;
     if (!parts[p]->HandlePrepare(prep, &ack).ok() ||
-        ack.decision !=
-            static_cast<uint8_t>(cluster::TwoPhaseDecision::kCommit)) {
+        ack.decision != cluster::TwoPhaseDecision::kCommit) {
       return fail("participant did not vote commit at prepare");
     }
   }
@@ -1057,7 +1050,8 @@ bool RunTwoPcSchedule(uint64_t seed, bool verbose) {
   // Maybe a conflicting local commit lands on partition 0's 2PC key
   // inside the decision window.
   const bool conflict = rng.Uniform(2) == 0;
-  const uint64_t forks_before = stores[0]->stats().branches_created;
+  const uint64_t forks_before =
+      stores[0]->metrics()->CounterTotal("tardis_txn_forks_total");
   if (conflict) {
     auto session = stores[0]->CreateSession();
     auto txn = stores[0]->Begin(session.get());
@@ -1069,14 +1063,12 @@ bool RunTwoPcSchedule(uint64_t seed, bool verbose) {
 
   const uint32_t scenario = rng.Uniform(4);
   auto decide = [&](int p) -> bool {
-    ReplMessage msg;
-    msg.type = ReplMessage::Type::kDecide;
-    msg.txn_id = txn_id;
-    msg.decision = static_cast<uint8_t>(cluster::TwoPhaseDecision::kCommit);
-    ReplMessage ack;
-    return parts[p]->HandleDecide(msg, &ack).ok() &&
-           ack.decision ==
-               static_cast<uint8_t>(cluster::TwoPhaseDecision::kCommit);
+    cluster::TwoPhaseReply ack;
+    return parts[p]
+               ->HandleDecide(txn_id, cluster::TwoPhaseDecision::kCommit,
+                              &ack)
+               .ok() &&
+           ack.decision == cluster::TwoPhaseDecision::kCommit;
   };
   auto crash_participant = [&](int p) -> bool {
     parts[p].reset();  // aborts any staged txn, closes the log
@@ -1139,7 +1131,8 @@ bool RunTwoPcSchedule(uint64_t seed, bool verbose) {
     // (branch-on-conflict), never abort; either branch tip may be the
     // one the read lands on.
     if (conflict &&
-        stores[0]->stats().branches_created <= forks_before) {
+        stores[0]->metrics()->CounterTotal("tardis_txn_forks_total") <=
+            forks_before) {
       return fail("conflicting decide-commit did not fork the DAG");
     }
   } else {
@@ -1258,9 +1251,11 @@ bool RunRetrySchedule(uint64_t seed, bool verbose) {
     }
     // Exactly-once while up: one commit per logical write, no duplicate
     // (session, seq) ever recorded, every key holds its value.
-    if (store->stats().commits != static_cast<uint64_t>(logical)) {
+    const uint64_t commits =
+        store->metrics()->CounterTotal("tardis_txn_commits_total");
+    if (commits != static_cast<uint64_t>(logical)) {
       return fail("expected " + std::to_string(logical) + " commits, got " +
-                  std::to_string(store->stats().commits) + " from " +
+                  std::to_string(commits) + " from " +
                   std::to_string(send_attempts) + " attempts");
     }
     if (store->session_dedup()->duplicates() != 0) {
@@ -1437,13 +1432,7 @@ bool RunRetrySchedule(uint64_t seed, bool verbose) {
                               cluster::TwoPhaseDecision* decision) {
         const int peer = endpoint == "p0" ? 0 : 1;
         if (!parts[peer]) return Status::Unavailable("peer down");
-        ReplMessage req;
-        req.type = ReplMessage::Type::kTxnStatus;
-        req.txn_id = txn_id;
-        ReplMessage resp;
-        Status s = parts[peer]->HandleTxnStatus(req, &resp);
-        if (!s.ok()) return s;
-        *decision = static_cast<cluster::TwoPhaseDecision>(resp.decision);
+        *decision = parts[peer]->HandleTxnStatus(txn_id).decision;
         return Status::OK();
       };
       parts[p] = std::make_unique<cluster::TwoPhaseParticipant>(
@@ -1468,18 +1457,18 @@ bool RunRetrySchedule(uint64_t seed, bool verbose) {
         prep.commit.writes.emplace_back(
             "y" + std::to_string(p),
             std::make_shared<const std::string>(value));
-        ReplMessage ack;
+        cluster::TwoPhaseReply ack;
         if (!parts[p]->HandlePrepare(prep, &ack).ok()) return false;
       }
       for (int p = 0; p < 2; p++) {
         if ((p == 0 && !decide0) || (p == 1 && !decide1)) continue;
-        ReplMessage msg;
-        msg.type = ReplMessage::Type::kDecide;
-        msg.txn_id = txn_id;
-        msg.decision =
-            static_cast<uint8_t>(cluster::TwoPhaseDecision::kCommit);
-        ReplMessage ack;
-        if (!parts[p]->HandleDecide(msg, &ack).ok()) return false;
+        cluster::TwoPhaseReply ack;
+        if (!parts[p]
+                 ->HandleDecide(txn_id, cluster::TwoPhaseDecision::kCommit,
+                                &ack)
+                 .ok()) {
+          return false;
+        }
       }
       return true;
     };
@@ -1520,7 +1509,7 @@ bool RunRetrySchedule(uint64_t seed, bool verbose) {
       prep.endpoints = {"p0", "p1"};
       prep.commit.writes.emplace_back(
           "y0", std::make_shared<const std::string>("lost"));
-      ReplMessage ack;
+      cluster::TwoPhaseReply ack;
       if (!parts[0]->HandlePrepare(prep, &ack).ok()) {
         return fail("2pc round 2 prepare failed");
       }

@@ -487,31 +487,43 @@ TEST(TardisClientDaemonTest, OutOfRangePortFlagIsAUsageError) {
   ::close(probe);
   const std::string peers = "--peers=127.0.0.1:" + std::to_string(repl_port) +
                             ",127.0.0.1:" + std::to_string(repl_port + 1);
-  // 70000 used to wrap to port 4464 and serve there; now it is refused
+  // 70000 used to wrap to port 4464 and serve there, and the other
+  // numeric flags went through atoi (--workers=abc ran one worker,
+  // --request-deadline-ms=-5 wrapped to no deadline). Each is now refused
   // with the usage exit code before anything binds.
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    freopen("/dev/null", "w", stdout);
-    freopen("/dev/null", "w", stderr);
-    execl(bin, "tardisd", "--site=0", peers.c_str(), "--client-port=70000",
-          static_cast<char*>(nullptr));
-    _exit(127);
+  for (const char* bad : {"--client-port=70000", "--workers=abc",
+                          "--max-queue=12x", "--request-deadline-ms=-5",
+                          "--heartbeats=2", "--site=99999999999"}) {
+    // Every other flag is valid, so only `bad` can make the start fail.
+    int port_probe = -1;
+    const std::string client_port =
+        "--client-port=" + std::to_string(BindAny(&port_probe));
+    ::close(port_probe);
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      freopen("/dev/null", "w", stdout);
+      freopen("/dev/null", "w", stderr);
+      execl(bin, "tardisd", "--site=0", peers.c_str(), client_port.c_str(),
+            bad, static_cast<char*>(nullptr));
+      _exit(127);
+    }
+    int status = 0;
+    pid_t waited = 0;
+    const uint64_t deadline = NowMillis() + 10'000;
+    while ((waited = waitpid(pid, &status, WNOHANG)) == 0 &&
+           NowMillis() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    if (waited == 0) {  // still serving: the flag was accepted
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
+      ADD_FAILURE() << "tardisd accepted " << bad;
+      continue;
+    }
+    ASSERT_TRUE(WIFEXITED(status)) << bad << ": tardisd did not exit normally";
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
   }
-  int status = 0;
-  pid_t waited = 0;
-  const uint64_t deadline = NowMillis() + 10'000;
-  while ((waited = waitpid(pid, &status, WNOHANG)) == 0 &&
-         NowMillis() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  if (waited == 0) {  // still serving: the flag was accepted
-    kill(pid, SIGKILL);
-    waitpid(pid, nullptr, 0);
-    FAIL() << "tardisd accepted --client-port=70000";
-  }
-  ASSERT_TRUE(WIFEXITED(status)) << "tardisd did not exit normally";
-  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
 }  // namespace

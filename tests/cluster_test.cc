@@ -11,13 +11,13 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/framed_client.h"
 #include "cluster/partition_map.h"
 #include "cluster/twopc.h"
 #include "core/tardis_store.h"
 #include "core/transaction.h"
 #include "fault/fault_registry.h"
 #include "replication/message.h"
+#include "util/socket.h"
 
 namespace tardis {
 namespace cluster {
@@ -180,14 +180,6 @@ class TwoPcTest : public ::testing::Test {
     return m;
   }
 
-  ReplMessage MakeDecide(uint64_t txn_id, TwoPhaseDecision d) {
-    ReplMessage m;
-    m.type = ReplMessage::Type::kDecide;
-    m.txn_id = txn_id;
-    m.decision = static_cast<uint8_t>(d);
-    return m;
-  }
-
   std::string Read(const std::string& key) {
     auto session = store_->CreateSession();
     auto txn = store_->Begin(session.get());
@@ -216,18 +208,18 @@ class TwoPcTest : public ::testing::Test {
 };
 
 TEST_F(TwoPcTest, PrepareThenCommit) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(participant_->HandlePrepare(MakePrepare(7, "k", "v"), &ack).ok());
-  EXPECT_EQ(ack.type, ReplMessage::Type::kPrepareAck);
-  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kCommit));
+  EXPECT_EQ(ack.txn_id, 7u);
+  EXPECT_EQ(ack.decision, TwoPhaseDecision::kCommit);
   EXPECT_EQ(participant_->in_doubt_count(), 1u);
   // Staged, not committed: the write is not visible yet.
   EXPECT_EQ(Read("k"), "<notfound>");
 
   ASSERT_TRUE(
-      participant_->HandleDecide(MakeDecide(7, TwoPhaseDecision::kCommit), &ack)
+      participant_->HandleDecide(7, TwoPhaseDecision::kCommit, &ack)
           .ok());
-  EXPECT_EQ(ack.type, ReplMessage::Type::kDecideAck);
+  EXPECT_EQ(ack.txn_id, 7u);
   EXPECT_FALSE(ack.forked);
   EXPECT_EQ(participant_->in_doubt_count(), 0u);
   EXPECT_EQ(participant_->DecisionFor(7), TwoPhaseDecision::kCommit);
@@ -235,10 +227,10 @@ TEST_F(TwoPcTest, PrepareThenCommit) {
 }
 
 TEST_F(TwoPcTest, PrepareThenAbortLeavesNothing) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(participant_->HandlePrepare(MakePrepare(8, "k", "v"), &ack).ok());
   ASSERT_TRUE(
-      participant_->HandleDecide(MakeDecide(8, TwoPhaseDecision::kAbort), &ack)
+      participant_->HandleDecide(8, TwoPhaseDecision::kAbort, &ack)
           .ok());
   EXPECT_EQ(participant_->DecisionFor(8), TwoPhaseDecision::kAbort);
   EXPECT_EQ(participant_->in_doubt_count(), 0u);
@@ -246,76 +238,75 @@ TEST_F(TwoPcTest, PrepareThenAbortLeavesNothing) {
 }
 
 TEST_F(TwoPcTest, DuplicatePrepareAndDecideAreIdempotent) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(participant_->HandlePrepare(MakePrepare(9, "k", "v"), &ack).ok());
   ASSERT_TRUE(participant_->HandlePrepare(MakePrepare(9, "k", "v"), &ack).ok());
-  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kCommit));
+  EXPECT_EQ(ack.decision, TwoPhaseDecision::kCommit);
   EXPECT_EQ(participant_->in_doubt_count(), 1u);
 
-  const uint64_t commits_before = store_->stats().commits;
+  const uint64_t commits_before =
+      store_->metrics()->CounterTotal("tardis_txn_commits_total");
   ASSERT_TRUE(
-      participant_->HandleDecide(MakeDecide(9, TwoPhaseDecision::kCommit), &ack)
+      participant_->HandleDecide(9, TwoPhaseDecision::kCommit, &ack)
           .ok());
   ASSERT_TRUE(
-      participant_->HandleDecide(MakeDecide(9, TwoPhaseDecision::kCommit), &ack)
+      participant_->HandleDecide(9, TwoPhaseDecision::kCommit, &ack)
           .ok());
-  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kCommit));
+  EXPECT_EQ(ack.decision, TwoPhaseDecision::kCommit);
   // The second decide re-acked without committing again.
-  EXPECT_EQ(store_->stats().commits, commits_before + 1);
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_commits_total"),
+            commits_before + 1);
 }
 
 TEST_F(TwoPcTest, DecideForUnknownTxn) {
   // Abort for a transaction never prepared here is fine (presumed abort);
   // commit is a protocol violation — the router cannot have collected our
   // ack.
-  ReplMessage ack;
+  TwoPhaseReply ack;
   EXPECT_TRUE(
-      participant_->HandleDecide(MakeDecide(99, TwoPhaseDecision::kAbort), &ack)
+      participant_->HandleDecide(99, TwoPhaseDecision::kAbort, &ack)
           .ok());
-  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kAbort));
+  EXPECT_EQ(ack.decision, TwoPhaseDecision::kAbort);
   EXPECT_FALSE(participant_
-                   ->HandleDecide(MakeDecide(98, TwoPhaseDecision::kCommit),
+                   ->HandleDecide(98, TwoPhaseDecision::kCommit,
                                   &ack)
                    .ok());
 }
 
 TEST_F(TwoPcTest, TxnStatusViews) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(10, "k", "v"), &ack).ok());
-  ReplMessage status_req;
-  status_req.type = ReplMessage::Type::kTxnStatus;
-  status_req.txn_id = 10;
-  ReplMessage resp;
-  ASSERT_TRUE(participant_->HandleTxnStatus(status_req, &resp).ok());
-  EXPECT_EQ(resp.decision, static_cast<uint8_t>(TwoPhaseDecision::kUnknown));
+  TwoPhaseReply resp = participant_->HandleTxnStatus(10);
+  EXPECT_EQ(resp.decision, TwoPhaseDecision::kUnknown);
 
   ASSERT_TRUE(participant_
-                  ->HandleDecide(MakeDecide(10, TwoPhaseDecision::kCommit),
+                  ->HandleDecide(10, TwoPhaseDecision::kCommit,
                                  &ack)
                   .ok());
-  ASSERT_TRUE(participant_->HandleTxnStatus(status_req, &resp).ok());
-  EXPECT_EQ(resp.decision, static_cast<uint8_t>(TwoPhaseDecision::kCommit));
+  resp = participant_->HandleTxnStatus(10);
+  EXPECT_EQ(resp.decision, TwoPhaseDecision::kCommit);
 
-  status_req.txn_id = 12345;  // never seen: presumed abort
-  ASSERT_TRUE(participant_->HandleTxnStatus(status_req, &resp).ok());
-  EXPECT_EQ(resp.decision, static_cast<uint8_t>(TwoPhaseDecision::kAbort));
+  resp = participant_->HandleTxnStatus(12345);  // never seen: presumed abort
+  EXPECT_EQ(resp.decision, TwoPhaseDecision::kAbort);
 }
 
 TEST_F(TwoPcTest, ForkOnConflictInsteadOfAbort) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(11, "k", "twopc"), &ack).ok());
   // A concurrent local commit takes the same key inside the window.
   CommitLocal("k", "rogue");
-  const uint64_t forks_before = store_->stats().branches_created;
+  const uint64_t forks_before =
+      store_->metrics()->CounterTotal("tardis_txn_forks_total");
   ASSERT_TRUE(participant_
-                  ->HandleDecide(MakeDecide(11, TwoPhaseDecision::kCommit),
+                  ->HandleDecide(11, TwoPhaseDecision::kCommit,
                                  &ack)
                   .ok());
-  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kCommit));
+  EXPECT_EQ(ack.decision, TwoPhaseDecision::kCommit);
   EXPECT_TRUE(ack.forked);
-  EXPECT_EQ(store_->stats().branches_created, forks_before + 1);
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_forks_total"),
+            forks_before + 1);
 }
 
 // The fork report describes the 2PC's own commit only. Here a commit
@@ -324,7 +315,7 @@ TEST_F(TwoPcTest, ForkOnConflictInsteadOfAbort) {
 // site right after the 2PC commit, which itself attaches to a leaf.
 TEST_F(TwoPcTest, ForkReportIgnoresOtherForkingCommits) {
   CommitLocal("x", "0");
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(12, "k", "twopc"), &ack).ok());
 
@@ -348,27 +339,29 @@ TEST_F(TwoPcTest, ForkReportIgnoresOtherForkingCommits) {
     EXPECT_TRUE((*t2)->forked());
   });
 
-  const uint64_t forks_before = store_->stats().branches_created;
+  const uint64_t forks_before =
+      store_->metrics()->CounterTotal("tardis_txn_forks_total");
   ASSERT_TRUE(participant_
-                  ->HandleDecide(MakeDecide(12, TwoPhaseDecision::kCommit),
+                  ->HandleDecide(12, TwoPhaseDecision::kCommit,
                                  &ack)
                   .ok());
   store_->SetCommitCallback(nullptr);
   EXPECT_FALSE(armed);
-  EXPECT_EQ(store_->stats().branches_created, forks_before + 1);
-  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kCommit));
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_forks_total"),
+            forks_before + 1);
+  EXPECT_EQ(ack.decision, TwoPhaseDecision::kCommit);
   EXPECT_FALSE(ack.forked);
   EXPECT_EQ(Read("k"), "twopc");
 }
 
 TEST_F(TwoPcTest, RecoveryBringsBackInDoubtPrepares) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(20, "r", "v20"), &ack).ok());
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(21, "r2", "v21"), &ack).ok());
   ASSERT_TRUE(participant_
-                  ->HandleDecide(MakeDecide(21, TwoPhaseDecision::kCommit),
+                  ->HandleDecide(21, TwoPhaseDecision::kCommit,
                                  &ack)
                   .ok());
 
@@ -380,7 +373,7 @@ TEST_F(TwoPcTest, RecoveryBringsBackInDoubtPrepares) {
 
   // A decide-commit after recovery re-applies the logged write set.
   ASSERT_TRUE(participant_
-                  ->HandleDecide(MakeDecide(20, TwoPhaseDecision::kCommit),
+                  ->HandleDecide(20, TwoPhaseDecision::kCommit,
                                  &ack)
                   .ok());
   EXPECT_FALSE(ack.forked);
@@ -388,7 +381,7 @@ TEST_F(TwoPcTest, RecoveryBringsBackInDoubtPrepares) {
 }
 
 TEST_F(TwoPcTest, ResolvePresumesAbortWhenAllPeersUnknown) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(30, "k", "v"), &ack).ok());
   peer_answer_ = TwoPhaseDecision::kUnknown;
@@ -398,8 +391,26 @@ TEST_F(TwoPcTest, ResolvePresumesAbortWhenAllPeersUnknown) {
   EXPECT_EQ(Read("k"), "<notfound>");
 }
 
+// The resolver thread resolves an in-doubt transaction with no caller
+// driving it, and stops with the participant (TearDown).
+TEST_F(TwoPcTest, ResolverThreadResolvesInDoubtOnItsOwn) {
+  peer_answer_ = TwoPhaseDecision::kCommit;  // set before the thread reads it
+  TwoPhaseReply ack;
+  ASSERT_TRUE(
+      participant_->HandlePrepare(MakePrepare(90, "rt", "v90"), &ack).ok());
+  participant_->StartResolver(10);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (participant_->in_doubt_count() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(participant_->DecisionFor(90), TwoPhaseDecision::kCommit);
+  EXPECT_EQ(Read("rt"), "v90");
+}
+
 TEST_F(TwoPcTest, ResolveAdoptsPeerDecisionAndWaitsWhileUnreachable) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(31, "k", "v"), &ack).ok());
   // Unreachable peer: stay in doubt, never presume.
@@ -415,7 +426,7 @@ TEST_F(TwoPcTest, ResolveAdoptsPeerDecisionAndWaitsWhileUnreachable) {
 }
 
 TEST_F(TwoPcTest, TornLogTailIsTruncatedNotBuried) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(50, "t", "v50"), &ack).ok());
   participant_.reset();
@@ -434,7 +445,7 @@ TEST_F(TwoPcTest, TornLogTailIsTruncatedNotBuried) {
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(51, "t2", "v51"), &ack).ok());
   ASSERT_TRUE(participant_
-                  ->HandleDecide(MakeDecide(50, TwoPhaseDecision::kCommit),
+                  ->HandleDecide(50, TwoPhaseDecision::kCommit,
                                  &ack)
                   .ok());
   participant_.reset();
@@ -444,20 +455,16 @@ TEST_F(TwoPcTest, TornLogTailIsTruncatedNotBuried) {
 }
 
 TEST_F(TwoPcTest, TxnStatusPresumedAbortIsBinding) {
-  ReplMessage status_req;
-  status_req.type = ReplMessage::Type::kTxnStatus;
-  status_req.txn_id = 60;
-  ReplMessage resp;
-  ASSERT_TRUE(participant_->HandleTxnStatus(status_req, &resp).ok());
-  EXPECT_EQ(resp.decision, static_cast<uint8_t>(TwoPhaseDecision::kAbort));
+  TwoPhaseReply resp = participant_->HandleTxnStatus(60);
+  EXPECT_EQ(resp.decision, TwoPhaseDecision::kAbort);
 
   // The querying peer aborted on our answer, so a prepare from a
   // still-live slow router arriving afterwards must be voted abort —
   // voting commit would split the transaction's outcome.
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(60, "k", "v"), &ack).ok());
-  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kAbort));
+  EXPECT_EQ(ack.decision, TwoPhaseDecision::kAbort);
   EXPECT_EQ(participant_->in_doubt_count(), 0u);
   EXPECT_EQ(Read("k"), "<notfound>");
 
@@ -468,11 +475,11 @@ TEST_F(TwoPcTest, TxnStatusPresumedAbortIsBinding) {
 }
 
 TEST_F(TwoPcTest, DecidedEntriesAgeOutAndLogCompacts) {
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(70, "g", "v70"), &ack).ok());
   ASSERT_TRUE(participant_
-                  ->HandleDecide(MakeDecide(70, TwoPhaseDecision::kCommit),
+                  ->HandleDecide(70, TwoPhaseDecision::kCommit,
                                  &ack)
                   .ok());
   ASSERT_TRUE(
@@ -498,7 +505,7 @@ TEST_F(TwoPcTest, DecidedEntriesAgeOutAndLogCompacts) {
   OpenParticipant();
   EXPECT_EQ(participant_->in_doubt_count(), 1u);
   ASSERT_TRUE(participant_
-                  ->HandleDecide(MakeDecide(71, TwoPhaseDecision::kCommit),
+                  ->HandleDecide(71, TwoPhaseDecision::kCommit,
                                  &ack)
                   .ok());
   participant_.reset();
@@ -514,12 +521,33 @@ TEST_F(TwoPcTest, PersistFailureTurnsVoteIntoAbort) {
   spec.probability = 1.0;
   spec.max_triggers = 1;
   fault::FaultRegistry::Global().Arm("twopc.prepare.persist", spec);
-  ReplMessage ack;
+  TwoPhaseReply ack;
   ASSERT_TRUE(
       participant_->HandlePrepare(MakePrepare(40, "k", "v"), &ack).ok());
-  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kAbort));
+  EXPECT_EQ(ack.decision, TwoPhaseDecision::kAbort);
   EXPECT_EQ(participant_->in_doubt_count(), 0u);
   EXPECT_EQ(Read("k"), "<notfound>");
+}
+
+// The coordination port's 2PC verbs: Serve() runs each line through the
+// same handlers and answers in the line format; bad lines answer ERR.
+TEST_F(TwoPcTest, ServeAnswersTheLineVerbs) {
+  ReplMessage prep = MakePrepare(80, "s", "line");
+  prep.session_id = 9;
+  prep.session_seq = 4;
+  EXPECT_EQ(participant_->Serve(FormatPrepare(prep)), "2PC 80 commit");
+  EXPECT_EQ(participant_->Serve(FormatTxnStatus(80)), "2PC 80 unknown");
+  EXPECT_EQ(participant_->Serve(FormatDecide(80, TwoPhaseDecision::kCommit)),
+            "2PC 80 commit");
+  EXPECT_EQ(Read("s"), "line");
+  EXPECT_EQ(participant_->Serve(FormatTxnStatus(80)), "2PC 80 commit");
+  // The session tag rode as arguments and tagged the commit.
+  GlobalStateId prior;
+  EXPECT_TRUE(store_->session_dedup()->Lookup(9, 4, &prior));
+
+  EXPECT_EQ(participant_->Serve("decide 81 commit").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(participant_->Serve("prepare 82 0 0 self k").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(participant_->Serve("txnstatus x").rfind("ERR ", 0), 0u);
 }
 
 }  // namespace

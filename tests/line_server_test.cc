@@ -2,8 +2,9 @@
 // tardisd's client port and tardis-router, driven in-process over
 // loopback with a scripted handler. Checks the contract both binaries
 // rely on: in-order replies per connection, ERR BUSY on a full queue,
-// ERR DEADLINE without running the handler, drain, the 1 MiB line guard,
-// the handler's close flag, and trace-header binding.
+// ERR DEADLINE without running the handler, drain (and its budget), the
+// 1 MiB line guard, the handler's close flag, trace-header binding and a
+// second listen port served like the first.
 
 #include "server/line_server.h"
 
@@ -118,12 +119,14 @@ class Harness {
                         [&] { return returned_; });
   }
 
-  int Dial() const {
+  int Dial() const { return DialPort(server_.port()); }
+
+  int DialPort(uint16_t port) const {
     const int fd = socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(server_.port());
+    addr.sin_port = htons(port);
     if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
       close(fd);
       return -1;
@@ -163,10 +166,10 @@ void SendAll(int fd, const std::string& data) {
 }
 
 /// Reads one '\n'-terminated line (without the newline). Returns "<EOF>"
-/// when the server closed the connection and "<TIMEOUT>" after 10 s.
-/// Bytes past the line stay in *buf for the next call.
-std::string ReadLine(int fd, std::string* buf) {
-  const uint64_t deadline = NowMillis() + 10'000;
+/// when the server closed the connection and "<TIMEOUT>" after
+/// timeout_ms. Bytes past the line stay in *buf for the next call.
+std::string ReadLine(int fd, std::string* buf, uint64_t timeout_ms = 10'000) {
+  const uint64_t deadline = NowMillis() + timeout_ms;
   while (true) {
     const size_t nl = buf->find('\n');
     if (nl != std::string::npos) {
@@ -345,6 +348,72 @@ TEST(LineServerTest, TraceHeaderIsStrippedAndBound) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], "trace");
   close(fd);
+}
+
+// Past the 10 s drain budget, a request still queued is answered
+// ERR SHUTTING_DOWN instead of being run or dropped, and a handler still
+// running past the budget gets its reply written before Run() returns.
+TEST(LineServerTest, DrainBudgetRefusesQueuedAndDeliversRunningReply) {
+  Harness h(Options(1, 8, 0));
+  const int holder = h.Dial();
+  const int queued = h.Dial();
+  ASSERT_GE(holder, 0);
+  ASSERT_GE(queued, 0);
+  SendAll(holder, "hold\n");
+  ASSERT_TRUE(h.script().WaitHolding(1));
+  SendAll(queued, "waits\n");
+  ASSERT_TRUE(WaitUntil([&] { return h.server().queue_depth() == 1; }));
+  const uint64_t drain_start = NowMillis();
+  h.server().RequestDrain();
+
+  std::string buf_queued;
+  EXPECT_EQ(ReadLine(queued, &buf_queued, 20'000),
+            "ERR SHUTTING_DOWN site draining; retry elsewhere");
+  EXPECT_GE(NowMillis() - drain_start, 9'000u);  // only once the budget ends
+  EXPECT_FALSE(h.WaitReturned(200));  // the running handler holds Run()
+
+  h.script().Release();
+  std::string buf_holder;
+  EXPECT_EQ(ReadLine(holder, &buf_holder), "R hold");
+  EXPECT_TRUE(h.WaitReturned(5'000));
+  for (const std::string& line : h.script().seen()) {
+    EXPECT_NE(line, "waits");  // refused, never run
+  }
+  close(holder);
+  close(queued);
+}
+
+// One server on two ports: both accept, share the queue and workers, and
+// a drain closes both listeners.
+TEST(LineServerTest, SecondPortIsServedLikeTheFirst) {
+  LineServerOptions o = Options(2, 8, 0);
+  int probe = socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  close(probe);
+  o.second_port = ntohs(addr.sin_port);
+  Harness h(o);
+  ASSERT_EQ(h.server().second_port(), o.second_port);
+  const int first = h.Dial();
+  const int second = h.DialPort(h.server().second_port());
+  ASSERT_GE(first, 0);
+  ASSERT_GE(second, 0);
+  SendAll(first, "one\n");
+  SendAll(second, "two\n");
+  std::string buf_first, buf_second;
+  EXPECT_EQ(ReadLine(first, &buf_first), "R one");
+  EXPECT_EQ(ReadLine(second, &buf_second), "R two");
+
+  h.server().RequestDrain();
+  EXPECT_TRUE(h.WaitReturned(5'000));
+  EXPECT_LT(h.Dial(), 0);
+  EXPECT_LT(h.DialPort(o.second_port), 0);
+  close(first);
+  close(second);
 }
 
 }  // namespace

@@ -210,15 +210,18 @@ int main() {
   }
 
   // The lifecycle counters must have seen the fork and the merge.
-  const StoreStats stats = store->stats();
-  if (stats.branches_created != 1) {
+  const uint64_t fork_count =
+      store->metrics()->CounterTotal("tardis_txn_forks_total");
+  const uint64_t merge_count =
+      store->metrics()->CounterTotal("tardis_txn_merges_total");
+  if (fork_count != 1) {
     fprintf(stderr, "FAIL: expected 1 fork, got %llu\n",
-            static_cast<unsigned long long>(stats.branches_created));
+            static_cast<unsigned long long>(fork_count));
     rc = 1;
   }
-  if (stats.merges_committed != 1) {
+  if (merge_count != 1) {
     fprintf(stderr, "FAIL: expected 1 merge, got %llu\n",
-            static_cast<unsigned long long>(stats.merges_committed));
+            static_cast<unsigned long long>(merge_count));
     rc = 1;
   }
 

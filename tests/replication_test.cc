@@ -102,7 +102,9 @@ TEST_F(ClusterTest, SingleCommitReplicates) {
   ASSERT_TRUE(cluster_->WaitQuiescent());
   auto remote_session = cluster_->site(1)->CreateSession();
   EXPECT_EQ(MustGet(cluster_->site(1), remote_session.get(), "k"), "v");
-  EXPECT_EQ(cluster_->site(1)->stats().remote_applied, 1u);
+  EXPECT_EQ(cluster_->site(1)->metrics()->CounterTotal(
+                "tardis_txn_remote_applied_total"),
+            1u);
 }
 
 TEST_F(ClusterTest, ChainReplicatesInOrder) {
@@ -194,7 +196,9 @@ TEST_F(ClusterTest, PartitionDefersThenConverges) {
     PutCommit(cluster_->site(1), s1.get(), "b", std::to_string(i));
   }
   // Nothing crossed the partition.
-  EXPECT_EQ(cluster_->site(0)->stats().remote_applied, 0u);
+  EXPECT_EQ(cluster_->site(0)->metrics()->CounterTotal(
+                "tardis_txn_remote_applied_total"),
+            0u);
   cluster_->network()->HealAll();
   // Post-heal commits replicate; dropped ones are recovered by sync.
   cluster_->replicator(0)->RequestSync();

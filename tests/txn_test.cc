@@ -92,7 +92,7 @@ TEST_F(TxnTest, AbortDiscardsWrites) {
   std::string v;
   EXPECT_TRUE((*read)->Get("gone", &v).IsNotFound());
   (*read)->Abort();
-  EXPECT_EQ(store_->stats().aborts, 2u);
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_aborts_total"), 2u);
 }
 
 TEST_F(TxnTest, DestructorAbortsActiveTxn) {
@@ -102,7 +102,7 @@ TEST_F(TxnTest, DestructorAbortsActiveTxn) {
     ASSERT_TRUE((*txn)->Put("tmp", "x").ok());
     // dropped without commit
   }
-  EXPECT_EQ(store_->stats().aborts, 1u);
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_aborts_total"), 1u);
   EXPECT_EQ(store_->dag()->state_count(), 1u);
 }
 
@@ -111,7 +111,9 @@ TEST_F(TxnTest, ReadOnlyTxnDoesNotGrowDag) {
   const size_t before = store_->dag()->state_count();
   for (int i = 0; i < 5; i++) MustGet(session_.get(), "k");
   EXPECT_EQ(store_->dag()->state_count(), before);
-  EXPECT_EQ(store_->stats().read_only_commits, 5u);
+  EXPECT_EQ(
+      store_->metrics()->CounterTotal("tardis_txn_read_only_commits_total"),
+      5u);
 }
 
 TEST_F(TxnTest, SequentialCommitsExtendOneBranch) {
@@ -121,7 +123,7 @@ TEST_F(TxnTest, SequentialCommitsExtendOneBranch) {
   }
   EXPECT_EQ(store_->dag()->Leaves().size(), 1u);
   EXPECT_EQ(store_->dag()->state_count(), 11u);  // root + 10
-  EXPECT_EQ(store_->stats().branches_created, 0u);
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_forks_total"), 0u);
 }
 
 TEST_F(TxnTest, InMemoryStoreKeepsOneCopyOfEachValue) {
@@ -181,7 +183,7 @@ TEST_F(TxnTest, ConflictingCommitsForkTheDag) {
   EXPECT_TRUE((*t1)->Commit(SerializabilityEnd()).ok());
   EXPECT_TRUE((*t2)->Commit(SerializabilityEnd()).ok());
   EXPECT_EQ(store_->dag()->Leaves().size(), 2u);
-  EXPECT_EQ(store_->stats().branches_created, 1u);
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_forks_total"), 1u);
 
   // Each session reads its own branch (inter-branch isolation).
   EXPECT_EQ(MustGet(session_.get(), "counter"), "1");
@@ -278,7 +280,7 @@ TEST_F(TxnTest, NonConflictingWritersRippleInsteadOfForking) {
   EXPECT_TRUE((*t1)->Commit(seq).ok());
   EXPECT_TRUE((*t2)->Commit(seq).ok());
   EXPECT_EQ(store_->dag()->Leaves().size(), 1u);
-  EXPECT_EQ(store_->stats().branches_created, 0u);
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_forks_total"), 0u);
 
   // Both writes visible on the single branch.
   EXPECT_EQ(MustGet(session_.get(), "k1"), "x");
@@ -433,7 +435,7 @@ TEST_F(TxnTest, MergeReconcilesCounterBranches) {
   EXPECT_EQ(store_->dag()->Leaves().size(), 1u);
   EXPECT_EQ(MustGet(session_.get(), "cnt"), "22");
   EXPECT_EQ(MustGet(s2.get(), "cnt"), "22");
-  EXPECT_EQ(store_->stats().merges_committed, 1u);
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_merges_total"), 1u);
 }
 
 TEST_F(TxnTest, FindConflictWritesListsOnlyConflicts) {
@@ -558,7 +560,8 @@ TEST_F(TxnTest, ConcurrentWritersAllCommitViaBranching) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(commits.load(), kThreads * kTxns);
-  EXPECT_EQ(store_->stats().commits, static_cast<uint64_t>(kThreads * kTxns));
+  EXPECT_EQ(store_->metrics()->CounterTotal("tardis_txn_commits_total"),
+            static_cast<uint64_t>(kThreads * kTxns));
   EXPECT_EQ(store_->dag()->state_count(),
             static_cast<size_t>(kThreads * kTxns + 1));
 }
@@ -638,8 +641,8 @@ RunForkMergeWorkload(const TardisOptions& options) {
       for (TxnPtr& txn : txns) EXPECT_TRUE(txn->Commit().ok());
     }
   }
-  EXPECT_GT((*store)->stats().branches_created, 0u);
-  EXPECT_GT((*store)->stats().merges_committed, 0u);
+  EXPECT_GT((*store)->metrics()->CounterTotal("tardis_txn_forks_total"), 0u);
+  EXPECT_GT((*store)->metrics()->CounterTotal("tardis_txn_merges_total"), 0u);
   while ((*store)->dag()->Leaves().size() > 1) {
     auto m = (*store)->BeginMerge(merger.get());
     EXPECT_TRUE(m.ok());

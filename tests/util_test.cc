@@ -376,9 +376,30 @@ TEST(ParsePortTest, AcceptsOnlyDecimalPortsInRange) {
   // Values the old atoi+cast silently wrapped or truncated; a rejected
   // value leaves the port as it was.
   for (const char* bad : {"70000", "65536", "-1", "7000abc", "0", "", "+80",
-                          " 80", "123456"}) {
+                          " 80", "123456", "80 ", "0x50", "8.0",
+                          "18446744073709551696"}) {
     EXPECT_FALSE(ParsePort(bad, &port)) << bad;
     EXPECT_EQ(port, 80) << bad;
+  }
+  // ParsePort is ParseUint's 1..65535 case; the general parser keeps the
+  // same rules for every numeric flag, overflow included.
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUint("0", 0, 10, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint("5", 5, 5, &v));
+  EXPECT_EQ(v, 5u);
+  EXPECT_TRUE(ParseUint("18446744073709551615", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  const std::pair<const char*, uint64_t> kBad[] = {
+      {"18446744073709551616", UINT64_MAX},  // overflows 64 bits
+      {"99999999999999999999", UINT64_MAX},
+      {"11", 10}, {"4", 10},  // above / below [5, hi]
+      {"abc", UINT64_MAX}, {"12x", UINT64_MAX},
+      {"-5", UINT64_MAX}, {"", UINT64_MAX}};
+  for (const auto& [bad, hi] : kBad) {
+    v = 7;
+    EXPECT_FALSE(ParseUint(bad, 5, hi, &v)) << bad;
+    EXPECT_EQ(v, 7u) << bad;
   }
 }
 

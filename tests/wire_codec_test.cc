@@ -2,12 +2,16 @@
 // messages, stream reassembly semantics, and a malformed-input battery —
 // truncation, CRC corruption, hostile length prefixes, random fuzz. The
 // decoder must return Status for every bad input; it must never throw,
-// crash, or over-read.
+// crash, or over-read. The 2PC line format (cluster/twopc_line.h), the
+// other parser of coordination bytes off the network, gets the same
+// round-trip and malformed-input treatment.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
+#include "cluster/twopc_line.h"
 #include "net/wire.h"
 #include "util/coding.h"
 #include "util/crc32.h"
@@ -55,9 +59,18 @@ void RandomTrace(Random* rng, ReplMessage* msg) {
   msg->trace_sampled = rng->Bernoulli(0.5);
 }
 
+constexpr ReplMessage::Type kAllTypes[] = {
+    ReplMessage::Type::kCommit,         ReplMessage::Type::kSyncRequest,
+    ReplMessage::Type::kCeilingRequest, ReplMessage::Type::kCeilingAck,
+    ReplMessage::Type::kCeilingCommit,  ReplMessage::Type::kHeartbeat,
+    ReplMessage::Type::kSnapshot,       ReplMessage::Type::kHello,
+    ReplMessage::Type::kHelloAck,       ReplMessage::Type::kPrepare,
+    ReplMessage::Type::kDecide,
+};
+
 ReplMessage RandomMessage(Random* rng) {
   ReplMessage msg;
-  msg.type = static_cast<ReplMessage::Type>(rng->Uniform(16));
+  msg.type = kAllTypes[rng->Uniform(std::size(kAllTypes))];
   msg.from_site = static_cast<uint32_t>(rng->Next());
   switch (msg.type) {
     case ReplMessage::Type::kCommit:
@@ -87,16 +100,6 @@ ReplMessage RandomMessage(Random* rng) {
     case ReplMessage::Type::kHello:
     case ReplMessage::Type::kHelloAck:
       break;  // identity-only handshake frames: empty body
-    case ReplMessage::Type::kRoute:
-      msg.txn_id = rng->Next();
-      msg.text = RandomBytes(rng, 64);
-      msg.commit.writes = RandomCommit(rng).writes;
-      RandomTrace(rng, &msg);
-      break;
-    case ReplMessage::Type::kRouteReply:
-      msg.txn_id = rng->Next();
-      msg.text = RandomBytes(rng, 128);
-      break;
     case ReplMessage::Type::kPrepare: {
       msg.txn_id = rng->Next();
       msg.commit.writes = RandomCommit(rng).writes;
@@ -106,24 +109,14 @@ ReplMessage RandomMessage(Random* rng) {
                                 std::to_string(rng->Uniform(65536)));
       }
       RandomTrace(rng, &msg);
+      msg.session_id = rng->Next();
+      msg.session_seq = rng->Next();
       break;
     }
-    case ReplMessage::Type::kPrepareAck:
-      msg.txn_id = rng->Next();
-      msg.decision = static_cast<uint8_t>(rng->Uniform(3));
-      break;
     case ReplMessage::Type::kDecide:
       msg.txn_id = rng->Next();
       msg.decision = static_cast<uint8_t>(rng->Uniform(3));
       RandomTrace(rng, &msg);
-      break;
-    case ReplMessage::Type::kDecideAck:
-      msg.txn_id = rng->Next();
-      msg.decision = static_cast<uint8_t>(rng->Uniform(3));
-      msg.forked = rng->Bernoulli(0.5);
-      break;
-    case ReplMessage::Type::kTxnStatus:
-      msg.txn_id = rng->Next();
       break;
   }
   return msg;
@@ -155,12 +148,12 @@ void ExpectMessagesEqual(const ReplMessage& a, const ReplMessage& b) {
   EXPECT_EQ(a.ceiling_epoch, b.ceiling_epoch);
   EXPECT_EQ(a.txn_id, b.txn_id);
   EXPECT_EQ(a.decision, b.decision);
-  EXPECT_EQ(a.forked, b.forked);
-  EXPECT_EQ(a.text, b.text);
   EXPECT_EQ(a.endpoints, b.endpoints);
   EXPECT_EQ(a.trace_id, b.trace_id);
   EXPECT_EQ(a.trace_span, b.trace_span);
   EXPECT_EQ(a.trace_sampled, b.trace_sampled);
+  EXPECT_EQ(a.session_id, b.session_id);
+  EXPECT_EQ(a.session_seq, b.session_seq);
 }
 
 TEST(WireCodecTest, RoundTripProperty) {
@@ -178,25 +171,22 @@ TEST(WireCodecTest, RoundTripProperty) {
   }
 }
 
-// The cluster coordination frames (ROUTE/PREPARE/DECIDE + acks and the
-// recovery status query) round-trip with every field intact — these carry
-// 2PC state that is also persisted verbatim in the participant's 2PC log,
-// so a lossy codec would corrupt crash recovery, not just the wire.
+// The 2PC records (PREPARE/DECIDE) round-trip with every field intact —
+// the participant persists them verbatim in its twopc.log, so a lossy
+// codec would corrupt crash recovery.
 TEST(WireCodecTest, CoordinationFrameRoundTripProperty) {
   Random rng(0x2BC);
   const ReplMessage::Type kCoordTypes[] = {
-      ReplMessage::Type::kRoute,      ReplMessage::Type::kRouteReply,
-      ReplMessage::Type::kPrepare,    ReplMessage::Type::kPrepareAck,
-      ReplMessage::Type::kDecide,     ReplMessage::Type::kDecideAck,
-      ReplMessage::Type::kTxnStatus,
+      ReplMessage::Type::kPrepare,
+      ReplMessage::Type::kDecide,
   };
   for (int iter = 0; iter < 700; iter++) {
     ReplMessage msg;
-    // Draw random messages until one lands on the coordination type under
-    // test, so every field combination the generator produces is covered.
+    // Draw random messages until one lands on the record type under test,
+    // so every field combination the generator produces is covered.
     do {
       msg = RandomMessage(&rng);
-    } while (msg.type != kCoordTypes[iter % 7]);
+    } while (msg.type != kCoordTypes[iter % 2]);
     std::string frame;
     EncodeFrame(msg, &frame);
     ReplMessage decoded;
@@ -373,6 +363,161 @@ TEST(WireCodecTest, FuzzedBuffersNeverCrash) {
     size_t consumed = 0;
     Status s = DecodeFrame(Slice(frame), &decoded, &consumed);
     EXPECT_TRUE(s.ok() || s.IsCorruption()) << s.ToString();
+  }
+}
+
+// The type bytes of the retired coordination frames (route, route reply,
+// prepare ack, decide ack, txn status) and anything past the last type
+// are unknown types, never misparsed as live ones.
+TEST(WireCodecTest, RetiredCoordinationTypesAreRejected) {
+  for (uint8_t type : {9, 10, 12, 14, 15, 16, 255}) {
+    std::string payload;
+    payload.push_back(static_cast<char>(kWireVersion));
+    payload.push_back(static_cast<char>(type));
+    PutVarint64(&payload, 0);  // from_site
+    PutVarint64(&payload, 7);  // what a txn id would have been
+    ReplMessage decoded;
+    Status s = DecodeReplMessage(Slice(payload), &decoded);
+    EXPECT_TRUE(s.IsCorruption()) << int{type} << ": " << s.ToString();
+  }
+}
+
+// ---- 2PC line format (cluster/twopc_line.h) ---------------------------------
+
+std::string RandomToken(Random* rng) {
+  static const char kChars[] =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-:/";
+  std::string s(1 + rng->Uniform(12), 'x');
+  for (char& c : s) c = kChars[rng->Uniform(sizeof(kChars) - 1)];
+  return s;
+}
+
+cluster::TwoPhaseDecision RandomDecision(Random* rng) {
+  return static_cast<cluster::TwoPhaseDecision>(rng->Uniform(3));
+}
+
+TEST(TwoPhaseLineTest, RequestAndReplyRoundTrip) {
+  Random rng(0x2BC1);
+  for (int iter = 0; iter < 600; iter++) {
+    const uint64_t txn = rng.Next();
+    cluster::TwoPhaseRequest req;
+    switch (iter % 3) {
+      case 0: {
+        ReplMessage prep;
+        prep.type = ReplMessage::Type::kPrepare;
+        prep.txn_id = txn;
+        prep.session_id = rng.Bernoulli(0.5) ? rng.Next() : 0;
+        prep.session_seq = rng.Next();
+        const size_t neps = 1 + rng.Uniform(4);
+        for (size_t i = 0; i < neps; i++) {
+          prep.endpoints.push_back("127.0.0.1:" +
+                                   std::to_string(1 + rng.Uniform(65535)));
+        }
+        const size_t nwrites = 1 + rng.Uniform(6);
+        for (size_t i = 0; i < nwrites; i++) {
+          prep.commit.writes.emplace_back(
+              RandomToken(&rng),
+              std::make_shared<const std::string>(RandomToken(&rng)));
+        }
+        const std::string line = cluster::FormatPrepare(prep);
+        ASSERT_TRUE(cluster::ParseTwoPhaseRequest(line, &req).ok()) << line;
+        EXPECT_EQ(req.verb, cluster::TwoPhaseRequest::Verb::kPrepare);
+        EXPECT_EQ(req.txn_id, txn);
+        ExpectMessagesEqual(prep, req.prepare);
+        break;
+      }
+      case 1: {
+        const auto d = rng.Bernoulli(0.5) ? cluster::TwoPhaseDecision::kCommit
+                                          : cluster::TwoPhaseDecision::kAbort;
+        const std::string line = cluster::FormatDecide(txn, d);
+        ASSERT_TRUE(cluster::ParseTwoPhaseRequest(line, &req).ok()) << line;
+        EXPECT_EQ(req.verb, cluster::TwoPhaseRequest::Verb::kDecide);
+        EXPECT_EQ(req.txn_id, txn);
+        EXPECT_EQ(req.decision, d);
+        break;
+      }
+      default: {
+        const std::string line = cluster::FormatTxnStatus(txn);
+        ASSERT_TRUE(cluster::ParseTwoPhaseRequest(line, &req).ok()) << line;
+        EXPECT_EQ(req.verb, cluster::TwoPhaseRequest::Verb::kTxnStatus);
+        EXPECT_EQ(req.txn_id, txn);
+        break;
+      }
+    }
+    const cluster::TwoPhaseReply reply{txn, RandomDecision(&rng),
+                                       rng.Bernoulli(0.5)};
+    cluster::TwoPhaseReply parsed;
+    const std::string line = cluster::FormatTwoPhaseReply(reply);
+    ASSERT_TRUE(cluster::ParseTwoPhaseReply(line, &parsed).ok()) << line;
+    EXPECT_EQ(parsed.txn_id, reply.txn_id);
+    EXPECT_EQ(parsed.decision, reply.decision);
+    EXPECT_EQ(parsed.forked, reply.forked);
+  }
+}
+
+TEST(TwoPhaseLineTest, MalformedLinesAreRejected) {
+  const std::string overlong =
+      "prepare 1 0 0 a:1 k " + std::string((1u << 20) + 1, 'v');
+  for (const std::string& bad : std::vector<std::string>{
+           "", " ", "commit 1", "PREPARE 1 0 0 a:1 k v",
+           // missing fields
+           "prepare", "prepare 1", "prepare 1 0 0", "prepare 1 0 0 a:1",
+           "decide", "decide 1", "txnstatus",
+           // non-numeric or out-of-range ids
+           "prepare x 0 0 a:1 k v", "prepare 1 s 0 a:1 k v",
+           "prepare 1 0 -3 a:1 k v", "decide -1 commit", "decide 0x10 abort",
+           "txnstatus 18446744073709551616", "txnstatus 1e3",
+           // odd key/value token counts
+           "prepare 1 0 0 a:1 k", "prepare 1 0 0 a:1 k v k2",
+           // bad endpoint lists and decisions
+           "prepare 1 0 0 ,a:1 k v", "prepare 1 0 0 a:1, k v",
+           "prepare 1 0 0 a:1,,b:2 k v", "decide 1 maybe",
+           "decide 1 unknown", "decide 1 commit now", "txnstatus 1 2",
+           overlong}) {
+    cluster::TwoPhaseRequest req;
+    const Status s = cluster::ParseTwoPhaseRequest(bad, &req);
+    EXPECT_TRUE(s.IsInvalidArgument()) << bad.substr(0, 60);
+  }
+  for (const std::string& bad : std::vector<std::string>{
+           "", "2PC", "2PC 1", "2PC x commit", "2PC 1 maybe",
+           "2PC 1 commit SPOON", "2PC 1 commit FORKED extra",
+           "ERR BUSY queue full; retry", "OK", "2pc 1 commit",
+           "2PC " + std::string((1u << 20) + 1, '1') + " commit"}) {
+    cluster::TwoPhaseReply reply;
+    const Status s = cluster::ParseTwoPhaseReply(bad, &reply);
+    EXPECT_TRUE(s.IsInvalidArgument()) << bad.substr(0, 60);
+  }
+}
+
+TEST(TwoPhaseLineTest, FuzzedLinesNeverCrash) {
+  Random rng(0x2BC2);
+  ReplMessage prep;
+  prep.txn_id = 42;
+  prep.endpoints = {"127.0.0.1:7000", "127.0.0.1:7001"};
+  prep.commit.writes.emplace_back("key",
+                                  std::make_shared<const std::string>("v"));
+  const std::string valid[] = {cluster::FormatPrepare(prep),
+                               cluster::FormatDecide(
+                                   42, cluster::TwoPhaseDecision::kCommit),
+                               cluster::FormatTxnStatus(42),
+                               "2PC 42 commit FORKED"};
+  for (int iter = 0; iter < 4000; iter++) {
+    std::string line;
+    if (iter % 2 == 0) {
+      line = RandomBytes(&rng, 96);
+    } else {
+      line = valid[rng.Uniform(std::size(valid))];
+      const size_t mutations = 1 + rng.Uniform(6);
+      for (size_t m = 0; m < mutations; m++) {
+        line[rng.Uniform(line.size())] = static_cast<char>(rng.Uniform(256));
+      }
+    }
+    cluster::TwoPhaseRequest req;
+    Status s = cluster::ParseTwoPhaseRequest(line, &req);
+    EXPECT_TRUE(s.ok() || s.IsInvalidArgument()) << s.ToString();
+    cluster::TwoPhaseReply reply;
+    s = cluster::ParseTwoPhaseReply(line, &reply);
+    EXPECT_TRUE(s.ok() || s.IsInvalidArgument()) << s.ToString();
   }
 }
 
