@@ -16,6 +16,14 @@ namespace {
 /// commit-lock hold unlinks. An unlink costs about a microsecond, which
 /// keeps every hold well under a millisecond.
 constexpr size_t kDeleteBatch = 128;
+/// Most states one path-pruning hold visits. A visit costs a few cache
+/// misses; 16 keep this hold's p99 near a pass-3 planning hold's
+/// (~0.1 ms on branch-merge, where 64 gave ~0.4 ms).
+constexpr size_t kPruneBatch = 16;
+/// The collector retires its closed forks once this many accumulate, or
+/// after this many cycles: retiring walks every version of every key.
+constexpr size_t kRetireAt = 512;
+constexpr int kRetireEvery = 8;
 /// Plans of one batch before it is left to the next cycle. A plan goes
 /// stale only when a commit adds a child to a victim, or a reader pins
 /// one, between the planning hold and the unlinking hold.
@@ -67,22 +75,33 @@ GarbageCollector::GarbageCollector(StateDag* dag, KeyVersionMap* kvmap,
   versions_pruned_total_ = registry->RegisterCounter(
       "tardis_gc_versions_pruned_total",
       "Record versions removed from the version map and store", site);
+  edges_dropped_total_ = registry->RegisterCounter(
+      "tardis_gc_edges_dropped_total",
+      "Redundant fork-point edges dropped before compression (pass 3)", site);
+  forks_closed_total_ = registry->RegisterCounter(
+      "tardis_gc_forks_closed_total",
+      "Deleted fork points whose entries left every fork path", site);
   pass_duration_us_ = registry->RegisterHistogram(
       "tardis_gc_pass_duration_us",
       "Wall time of one full GC cycle, microseconds", site);
-  // Passes 1 and 2 and record promotion take no commit lock, so the
-  // phases are pass 3's two holds per batch.
+  const char* const kPhaseHelp =
+      "Wall time of one GC phase in one cycle, microseconds";
+  // Passes 1 and 2 and record promotion take no commit lock, so the hold
+  // phases are pass 3's two holds per batch and path pruning's holds.
   const char* const kHoldHelp =
       "One garbage-collector hold of the commit lock, microseconds";
-  obs::LabelSet compress = site;
-  compress.emplace_back("phase", "compress");
+  auto labelled = [&](const char* name, const char* help, const char* ph) {
+    obs::LabelSet labels = site;
+    labels.emplace_back("phase", ph);
+    return registry->RegisterHistogram(name, help, labels);
+  };
+  phase_compress_us_ = labelled("tardis_gc_phase_us", kPhaseHelp, "compress");
+  phase_promote_us_ = labelled("tardis_gc_phase_us", kPhaseHelp, "promote");
+  phase_prune_us_ = labelled("tardis_gc_phase_us", kPhaseHelp, "prune");
   hold_compress_us_ =
-      registry->RegisterHistogram("tardis_gc_lock_hold_us", kHoldHelp,
-                                  compress);
-  obs::LabelSet del = site;
-  del.emplace_back("phase", "delete");
-  hold_delete_us_ =
-      registry->RegisterHistogram("tardis_gc_lock_hold_us", kHoldHelp, del);
+      labelled("tardis_gc_lock_hold_us", kHoldHelp, "compress");
+  hold_delete_us_ = labelled("tardis_gc_lock_hold_us", kHoldHelp, "delete");
+  hold_prune_us_ = labelled("tardis_gc_lock_hold_us", kHoldHelp, "prune");
 }
 
 GarbageCollector::~GarbageCollector() { StopBackground(); }
@@ -107,13 +126,19 @@ GcStats GarbageCollector::RunOnce() {
   DagCompressionPass(&stats);
   const uint64_t t1 = NowMicros();
   RecordPromotionPass(&stats);
+  const uint64_t t2 = NowMicros();
+  ForkPathPass(&stats);
+  const uint64_t t3 = NowMicros();
   if (trace) {
     fprintf(stderr,
-            "[gc] compress=%lluus promote=%lluus deleted=%llu pruned=%llu "
-            "kept=%llu max_hold=%lluus\n",
-            (unsigned long long)(t1 - t0),
-            (unsigned long long)(NowMicros() - t1),
+            "[gc] compress=%lluus promote=%lluus prune=%lluus deleted=%llu "
+            "dropped=%llu closed=%llu pruned=%llu kept=%llu "
+            "max_hold=%lluus\n",
+            (unsigned long long)(t1 - t0), (unsigned long long)(t2 - t1),
+            (unsigned long long)(t3 - t2),
             (unsigned long long)stats.states_deleted,
+            (unsigned long long)stats.edges_dropped,
+            (unsigned long long)stats.forks_closed,
             (unsigned long long)stats.versions_pruned,
             (unsigned long long)stats.versions_promoted,
             (unsigned long long)max_hold_us_);
@@ -123,7 +148,12 @@ GcStats GarbageCollector::RunOnce() {
   states_deleted_total_->Increment(stats.states_deleted);
   versions_promoted_total_->Increment(stats.versions_promoted);
   versions_pruned_total_->Increment(stats.versions_pruned);
-  pass_duration_us_->Observe(NowMicros() - t0);
+  edges_dropped_total_->Increment(stats.edges_dropped);
+  forks_closed_total_->Increment(stats.forks_closed);
+  phase_compress_us_->Observe(t1 - t0);
+  phase_promote_us_->Observe(t2 - t1);
+  phase_prune_us_->Observe(t3 - t2);
+  pass_duration_us_->Observe(t3 - t0);
   return stats;
 }
 
@@ -140,8 +170,9 @@ void GarbageCollector::DagCompressionPass(GcStats* stats) {
   // so the walk stops at the first marked state — each state is marked
   // exactly once over the store's lifetime, no matter how many ceilings
   // accumulate above it. No commit lock: parents() changes only when a
-  // state is created and in DeleteStateLocked (state_dag.h), and a read
-  // pin taken meanwhile is rechecked under the lock before any deletion.
+  // state is created and in this collector's pass 3 (state_dag.h), and a
+  // read pin taken meanwhile is rechecked under the lock before any
+  // deletion.
   for (const StatePtr& ceiling : ceilings) {
     std::vector<StatePtr> work(ceiling->parents().begin(),
                                ceiling->parents().end());
@@ -179,8 +210,10 @@ void GarbageCollector::DagCompressionPass(GcStats* stats) {
   }
 
   // Pass 3: delete safe states that are not fork points, promoting each
-  // to its surviving child, in batches in descending id order. Keep the
-  // root: every surviving state stays attached to it.
+  // to its surviving child, in batches in descending id order. A safe
+  // fork point first loses its redundant edges, so one whose branches a
+  // merge reconciled is no fork point any more. Keep the root: every
+  // surviving state stays attached to it.
   std::vector<StatePtr> batch;
   for (auto it = marked_live_.rbegin(); it != marked_live_.rend(); ++it) {
     if (!(*it)->safe_to_gc.load() || (*it)->parents().empty()) continue;
@@ -211,6 +244,12 @@ void GarbageCollector::DeleteBatch(const std::vector<StatePtr>& batch,
       TimedHold hold(this, hold_compress_us_);
       for (const StatePtr& s : batch) {
         if (s->read_pins() > 0) continue;
+        // s is safe to gc: it and its ancestors are marked and unpinned,
+        // so no read state and no ripple-down commit reaches it, and a
+        // dropped edge changes no answer (DESIGN.md §4b).
+        if (s->children().size() > 1) {
+          stats->edges_dropped += dag_->DropRedundantEdgesLocked(s);
+        }
         if (s->children().size() != 1) continue;  // fork point or leaf
         victims.push_back(Victim{s, s->children()[0], nullptr});
       }
@@ -287,6 +326,9 @@ void GarbageCollector::DeleteBatch(const std::vector<StatePtr>& batch,
       }
       // Its heir holds these now, and no walk reaches an unlinked state.
       v.state->inherited_writes() = KeySet();
+      if (v.state->child_slots() >= 2) {
+        open_forks_.emplace_back(v.state->id(), v.state->child_slots());
+      }
     }
     stats->states_deleted += victims.size();
     return;
@@ -357,6 +399,116 @@ void GarbageCollector::RecordPromotionPass(GcStats* stats) {
   kvmap_->DrainRetired();
 }
 
+void GarbageCollector::ForkPathPass(GcStats* stats) {
+  TARDIS_TRACE_SCOPE("gc", "prune");
+  // Each distinct path is rewritten once per sweep: the states of a chain
+  // share one. The memo keeps every old path alive, so none is freed under
+  // the lock and no address is reused while it keys the memo.
+  struct Rewrite {
+    std::shared_ptr<const ForkPath> old_path;
+    std::shared_ptr<const ForkPath> new_path;  // null: names no closed fork
+  };
+  std::unordered_map<const ForkPath*, Rewrite> rewritten;
+  auto prune = [&](State* s) {
+    std::shared_ptr<const ForkPath> path = s->fork_path();
+    Rewrite& r = rewritten[path.get()];
+    if (r.old_path == nullptr) {
+      if (path->Names(*closed_)) {
+        ForkPath pruned = *path;
+        pruned.Prune(closed_);
+        r.new_path = std::make_shared<const ForkPath>(std::move(pruned));
+      }
+      r.old_path = std::move(path);
+    }
+    if (r.new_path != nullptr) s->set_fork_path(r.new_path);
+  };
+
+  // Close each deleted fork point F whose live heir holds (F,1)...(F,k).
+  // Every live state that descends from F descends from that heir, so
+  // every reader that descends from F holds all of F's entries, and they
+  // can leave every path without changing a Fig. 7 answer (DESIGN.md §4b).
+  std::vector<StateId> fresh;
+  // Every live state whose path names a fork closed now descends from the
+  // fork's heir: the walk down from the heirs visits them all. States
+  // created after the closed set is published have clean paths, so the
+  // walk stops at ids above `horizon`. Only this collector deletes states.
+  std::vector<State*> work;
+  StateId horizon = 0;
+  if (!open_forks_.empty()) {
+    TimedHold hold(this, hold_prune_us_);
+    open_forks_.erase(
+        std::remove_if(open_forks_.begin(), open_forks_.end(),
+                       [&](const std::pair<StateId, uint32_t>& fork) {
+                         StatePtr heir = dag_->ResolveLocked(fork.first);
+                         if (heir == nullptr) return true;  // never closes
+                         if (!heir->fork_path()->HoldsEveryBranch(
+                                 fork.first, fork.second)) {
+                           return false;
+                         }
+                         fresh.push_back(fork.first);
+                         work.push_back(heir.get());
+                         return true;
+                       }),
+        open_forks_.end());
+    if (!fresh.empty()) {
+      auto closed = std::make_shared<ClosedForks>(fresh);
+      if (closed_ != nullptr) {
+        closed->insert(closed->end(), closed_->begin(), closed_->end());
+      }
+      std::sort(closed->begin(), closed->end());
+      closed_ = std::move(closed);
+      dag_->SetClosedForksLocked(closed_, /*pruning=*/true);
+      horizon = dag_->max_id();
+    }
+  }
+  stats->forks_closed += fresh.size();
+  if (closed_ == nullptr) return;
+
+  // Live states under the commit lock, which retroactive annotation holds
+  // while it swaps paths, a bounded batch per hold. Readers run Fig. 7
+  // without it: a pruned reader path counts a writer's entries for the
+  // closed forks as present.
+  std::unordered_set<State*> seen;
+  while (!work.empty()) {
+    TimedHold hold(this, hold_prune_us_);
+    for (size_t n = 0; n < kPruneBatch && !work.empty(); n++) {
+      State* s = work.back();
+      work.pop_back();
+      if (!seen.insert(s).second) continue;
+      prune(s);
+      for (const StatePtr& c : s->children()) {
+        if (c->id() <= horizon) work.push_back(c.get());
+      }
+    }
+    // Walk done: no live path names a closed fork, so chains share again.
+    if (work.empty()) dag_->SetClosedForksLocked(closed_, /*pruning=*/false);
+  }
+
+  // Deleted states that still own a version keep their closed entries
+  // (they count as present in every pruned reader path) until the closed
+  // set is retired. That walks the whole version map, so it waits until
+  // the set has grown or aged.
+  if (closed_->size() < kRetireAt && ++cycles_since_retire_ < kRetireEvery) {
+    return;
+  }
+  // Nothing but this collector swaps a deleted state's path, so no lock.
+  // Record promotion drained the versions it removed, so no reader can
+  // reach a deleted owner this walk misses.
+  const StateId oldest = closed_->front();
+  kvmap_->ForEachKey([&](const std::string& key) {
+    kvmap_->ForEachVersion(key, [&](const VersionEntry& v) {
+      if (v.sid > oldest && v.state->deleted.load()) prune(v.state.get());
+    });
+  });
+  // No path names a closed fork any more: retire them.
+  {
+    TimedHold hold(this, hold_prune_us_);
+    dag_->SetClosedForksLocked(nullptr, /*pruning=*/false);
+  }
+  closed_ = nullptr;
+  cycles_since_retire_ = 0;
+}
+
 void GarbageCollector::StartBackground(uint64_t interval_ms) {
   std::lock_guard<std::mutex> guard(bg_mu_);
   if (bg_running_) return;
@@ -394,6 +546,8 @@ GcStats GarbageCollector::TotalStats() const {
   out.states_deleted = states_deleted_total_->Value();
   out.versions_promoted = versions_promoted_total_->Value();
   out.versions_pruned = versions_pruned_total_->Value();
+  out.edges_dropped = edges_dropped_total_->Value();
+  out.forks_closed = forks_closed_total_->Value();
   return out;
 }
 

@@ -5,16 +5,23 @@
 //  2. DAG (path) compression — the three-pass algorithm of Figure 8:
 //     a ceiling-marking bottom-up pass, a safe-to-gc top-down pass, and a
 //     garbage-collecting pass that promotes non-fork-point states to
-//     their most recent surviving child.
+//     their most recent surviving child. Before it plans a batch, the
+//     third pass drops the redundant edges of safe fork points: an edge
+//     s -> c goes when another parent of c descends from s. A ladder of
+//     fork points that one merge reconciled then compresses like a chain.
 //  3. Record promotion/pruning — record versions of deleted states are
 //     re-tagged with their promoted state's id; of a chain sharing an id
 //     only the most recent survives.
 //
+// Each cycle then prunes the fork paths: a deleted fork point whose live
+// heir descends from all its branches is *closed*, and its entries leave
+// every path (DESIGN.md §4b), so paths stop growing with uptime.
+//
 // Runs either on demand (RunOnce) or on a background thread. It holds
 // the commit lock (StateDag::Lock()) only in short steps, so commits keep
 // their pace while it runs: passes 1 and 2 and record promotion take no
-// commit lock at all, and pass 3 plans and unlinks its victims in batches
-// of bounded size (DESIGN.md §4b).
+// commit lock at all, and pass 3 and path pruning work in batches of
+// bounded size (DESIGN.md §4b).
 
 #ifndef TARDIS_CORE_GC_H_
 #define TARDIS_CORE_GC_H_
@@ -27,6 +34,7 @@
 #include <string>
 #include <unordered_set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/key_version_map.h"
@@ -45,6 +53,8 @@ struct GcStats {
   uint64_t states_deleted = 0;
   uint64_t versions_promoted = 0;
   uint64_t versions_pruned = 0;
+  uint64_t edges_dropped = 0;
+  uint64_t forks_closed = 0;
 };
 
 class GarbageCollector {
@@ -78,6 +88,10 @@ class GarbageCollector {
   /// victims and their heirs' inherited writes, then unlinks them.
   void DeleteBatch(const std::vector<StatePtr>& batch, GcStats* stats);
   void RecordPromotionPass(GcStats* stats);
+  /// Closes the deleted fork points whose heir descends from all their
+  /// branches and prunes their entries from every live state's path and
+  /// every version owner's.
+  void ForkPathPass(GcStats* stats);
 
   StateDag* const dag_;
   KeyVersionMap* const kvmap_;
@@ -94,6 +108,11 @@ class GarbageCollector {
   /// Every marked state not yet deleted: pass 2 and pass 3 visit these
   /// instead of the whole DAG. Guarded by run_mu_.
   std::vector<StatePtr> marked_live_;
+  /// Deleted fork points not yet closed, with their child slots, and the
+  /// closed forks not yet retired (null: none). Guarded by run_mu_.
+  std::vector<std::pair<StateId, uint32_t>> open_forks_;
+  std::shared_ptr<const ClosedForks> closed_;
+  int cycles_since_retire_ = 0;
   /// Longest commit-lock hold of the current cycle (for TARDIS_GC_TRACE).
   uint64_t max_hold_us_ = 0;
 
@@ -106,9 +125,15 @@ class GarbageCollector {
   obs::Counter* states_deleted_total_ = nullptr;
   obs::Counter* versions_promoted_total_ = nullptr;
   obs::Counter* versions_pruned_total_ = nullptr;
+  obs::Counter* edges_dropped_total_ = nullptr;
+  obs::Counter* forks_closed_total_ = nullptr;
   obs::HistogramMetric* pass_duration_us_ = nullptr;
+  obs::HistogramMetric* phase_compress_us_ = nullptr;
+  obs::HistogramMetric* phase_promote_us_ = nullptr;
+  obs::HistogramMetric* phase_prune_us_ = nullptr;
   obs::HistogramMetric* hold_compress_us_ = nullptr;  ///< pass 3 planning
   obs::HistogramMetric* hold_delete_us_ = nullptr;    ///< pass 3 unlinking
+  obs::HistogramMetric* hold_prune_us_ = nullptr;     ///< path pruning
 
   std::thread bg_;
   std::mutex bg_mu_;

@@ -72,6 +72,16 @@ std::vector<VersionEntry> KeyVersionMap::Versions(const Slice& key) const {
   return out;
 }
 
+void KeyVersionMap::ForEachVersion(
+    const Slice& key,
+    const std::function<void(const VersionEntry&)>& fn) const {
+  std::shared_lock<std::shared_mutex> gate(gate_);
+  VersionList* list = GetList(key);
+  if (list == nullptr) return;
+  VersionList::Iterator it(list);
+  for (it.SeekToFirst(); it.Valid(); it.Next()) fn(it.key());
+}
+
 bool KeyVersionMap::RemoveVersion(const Slice& key, StateId sid) {
   std::shared_lock<std::shared_mutex> gate(gate_);
   VersionList* list = GetList(key);

@@ -60,6 +60,11 @@ class KeyVersionMap {
   /// All live versions of `key`, most recent first (GC and diagnostics).
   std::vector<VersionEntry> Versions(const Slice& key) const;
 
+  /// Calls `fn` on every version of `key`, most recent first, without
+  /// copying the entries. `fn` must not call back into the map.
+  void ForEachVersion(const Slice& key,
+                      const std::function<void(const VersionEntry&)>& fn) const;
+
   /// Removes the version of `key` tagged with `sid`. Returns false if no
   /// such version exists.
   bool RemoveVersion(const Slice& key, StateId sid);

@@ -46,6 +46,12 @@ class State {
     std::lock_guard<SpinLock> guard(fork_path_mu_);
     fork_path_.swap(p);  // the old path is released after the lock
   }
+  /// True iff the fork path is still `p`; takes no reference. A swap
+  /// always installs a new object, so an unchanged pointer means no swap.
+  bool fork_path_is(const ForkPath* p) const {
+    std::lock_guard<SpinLock> guard(fork_path_mu_);
+    return fork_path_.get() == p;
+  }
 
   // --- DAG structure. Written under the owning StateDag's mutex. A state's
   // --- parents change only at creation and when the garbage collector

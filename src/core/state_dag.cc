@@ -138,9 +138,19 @@ bool StateDag::DescendantCheck(const State& writer, const State& reader) {
   // Figure 7, verbatim: id equality, id ordering, then fork-path subset.
   if (writer.id() == reader.id()) return true;
   if (writer.id() > reader.id()) return false;
-  const auto wp = writer.fork_path();
-  const auto rp = reader.fork_path();
-  return wp->SubsetOf(*rp);
+  // The writer's path first: retroactive annotation rewrites descendants
+  // before ancestors, so a writer path is never newer than a reader path
+  // loaded after it. A "no" must also hold at one instant: the collector
+  // may prune and retire a closed fork between the two loads, so it counts
+  // only if the writer's path is still the one loaded (DESIGN.md §4b).
+  auto wp = writer.fork_path();
+  while (true) {
+    const auto rp = reader.fork_path();
+    if (wp == rp) return true;  // one branch segment shares one path object
+    if (wp->SubsetOf(*rp)) return true;
+    if (writer.fork_path_is(wp.get())) return false;
+    wp = writer.fork_path();
+  }
 }
 
 GlobalStateId StateDag::NextLocalGuid() {
@@ -196,17 +206,23 @@ StatePtr StateDag::CreateStateWithIdLocked(
     state->parents().push_back(parent);
     leaves_.erase(parent.get());
   }
-  if (parents.size() == 1 && slots[0] == 1) {
+  // A new path leaves the collector's closed forks out at once: it
+  // rewrites only the states that existed when it published them. Outside
+  // its pruning walk no live path names one, so a chain commit shares.
+  std::shared_ptr<const ForkPath> first = parents[0]->fork_path();
+  if (parents.size() == 1 && slots[0] == 1 &&
+      !(pruning_ && first->Names(*closed_))) {
     // A plain chain commit: same branch, same fork path object.
-    state->set_fork_path(parents[0]->fork_path());
+    state->set_fork_path(std::move(first));
   } else {
-    ForkPath path = *parents[0]->fork_path();
+    ForkPath path = *first;
     for (size_t i = 1; i < parents.size(); i++) {
       path.Union(*parents[i]->fork_path());
     }
     for (size_t i = 0; i < parents.size(); i++) {
       if (slots[i] >= 2) path.Add(ForkPoint{parents[i]->id(), slots[i]});
     }
+    path.Prune(closed_);
     state->set_fork_path(std::make_shared<const ForkPath>(std::move(path)));
   }
 
@@ -514,6 +530,39 @@ void StateDag::DeleteStateLocked(const StatePtr& victim,
   by_guid_.erase(victim->guid());
   leaves_.erase(victim.get());
   UpdateCountsLocked();
+}
+
+size_t StateDag::DropRedundantEdgesLocked(const StatePtr& s) {
+  // An edge s -> c is redundant when another parent p of c descends from
+  // s: c stays reachable through p. The child with the smallest id is never
+  // dropped (its witness p would sit between s and it), so s keeps one.
+  size_t dropped = 0;
+  auto& children = s->children();
+  for (size_t i = 0; i < children.size() && children.size() > 1;) {
+    StatePtr c = children[i];
+    auto& up = c->parents();
+    const bool redundant =
+        std::any_of(up.begin(), up.end(), [&](const StatePtr& p) {
+          return p != s && DescendantCheck(*s, *p);
+        });
+    if (!redundant) {
+      i++;
+      continue;
+    }
+    up.erase(std::find(up.begin(), up.end(), s));
+    children.erase(children.begin() + i);
+    dropped++;
+  }
+  return dropped;
+}
+
+size_t StateDag::MaxLeafPathLength() const {
+  std::lock_guard<std::mutex> guard(mu_);
+  size_t longest = 0;
+  for (const State* leaf : leaves_) {
+    longest = std::max(longest, leaf->fork_path()->size());
+  }
+  return longest;
 }
 
 std::vector<StatePtr> StateDag::AllStatesLocked() const {

@@ -23,6 +23,12 @@
 //  * the leaf set, which read-state selection walks "from the leaves up";
 //  * the promotion table id -> id left behind by DAG compression (§6.3),
 //    resolved union-find style;
+//  * the structural half of DAG compression: Fig. 8 splices out
+//    single-child states, and the collector first drops the redundant
+//    edges that keep a reconciled fork point from having one child;
+//  * closed forks: while the collector prunes their entries from the
+//    paths, each state created meanwhile gets a path already without
+//    them;
 //  * mapping GlobalStateIds to states for the replicator.
 //
 // All structural mutation happens under mu_ (the commit lock). Read-side
@@ -37,9 +43,10 @@
 //    promotion-table entry names a live state, and the table resolves a
 //    dead id to its live heir without mu_.
 //  * A state's parents() vector is written when the state is created
-//    (before it is published) and otherwise only by DeleteStateLocked. The
-//    collector may therefore read parents() without mu_; children() needs
-//    mu_, because every commit appends to it.
+//    (before it is published) and otherwise only by the collector's
+//    DeleteStateLocked and DropRedundantEdgesLocked. The collector may
+//    therefore read parents() without mu_; children() needs mu_, because
+//    every commit appends to it.
 
 #ifndef TARDIS_CORE_STATE_DAG_H_
 #define TARDIS_CORE_STATE_DAG_H_
@@ -72,7 +79,9 @@ class StateDag {
 
   /// Figure 7: can a transaction whose read state is `reader` see records
   /// tagged with state `writer`? True iff writer is an ancestor-or-self of
-  /// reader. Thread-safe without the DAG lock.
+  /// reader. Thread-safe without the DAG lock. `writer` is live, or a
+  /// deleted state that still owns a version entry (the collector prunes
+  /// the paths of both, DESIGN.md §4b).
   static bool DescendantCheck(const State& writer, const State& reader);
 
   /// Appends a new state with the given parents (>=1; >1 for merges).
@@ -198,6 +207,23 @@ class StateDag {
   /// sibling and break the id-order invariant (checked by a debug assert).
   void DeleteStateLocked(const StatePtr& victim, const StatePtr& heir);
 
+  /// Drops every edge s -> c for which Fig. 7 says s is an ancestor of
+  /// another parent of c, keeping at least one child. Reachability and
+  /// every stored path stay as they are. The collector calls it for
+  /// safe-to-gc fork points, so that a fork point whose branches one merge
+  /// reconciled is left with one child and compresses like a chain state.
+  /// Returns the number of edges dropped.
+  size_t DropRedundantEdgesLocked(const StatePtr& s);
+
+  /// Publishes the closed forks not yet retired (null: none). Every new
+  /// fork or merge path leaves them out and remembers them; while
+  /// `pruning`, so does every new chain path.
+  void SetClosedForksLocked(std::shared_ptr<const ClosedForks> closed,
+                            bool pruning) {
+    closed_ = std::move(closed);
+    pruning_ = pruning;
+  }
+
   /// Makes room in the promotion table for `n` more entries. The collector
   /// calls it without the commit lock before a batch of deletions, so that
   /// DeleteStateLocked never rehashes the table under that lock.
@@ -214,6 +240,8 @@ class StateDag {
     return leaf_count_.load(std::memory_order_relaxed);
   }
   size_t promotion_table_size() const;
+  /// Entries in the longest fork path among the leaves. Takes the lock.
+  size_t MaxLeafPathLength() const;
   uint64_t max_id() const { return next_id_.load() - 1; }
 
  private:
@@ -237,6 +265,10 @@ class StateDag {
   std::unordered_set<State*> leaves_;
   std::atomic<size_t> state_count_{0};
   std::atomic<size_t> leaf_count_{0};
+  // The collector's closed forks and whether it is pruning live paths of
+  // them; guarded by mu_.
+  std::shared_ptr<const ClosedForks> closed_;
+  bool pruning_ = false;
 
   mutable std::mutex promo_mu_;  // promotion table; nests inside mu_
   // victim id -> heir id. Resolve() follows chains union-find style with

@@ -1,6 +1,8 @@
 #include "core/tardis_store.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "core/record_codec.h"
 #include "fault/fault_points.h"
@@ -20,6 +22,38 @@ constexpr const char* kCommitLogFile = "commit.log";
 constexpr const char* kCheckpointFile = "checkpoint.log";
 constexpr const char* kCheckpointTmpFile = "checkpoint.tmp";
 constexpr const char* kRecordsFile = "records.db";
+
+/// Begin constraints run Fig. 7 with the session's last commit as the
+/// writer. The collector prunes closed forks from the paths of live states
+/// and version owners only (DESIGN.md §4b), so for one read-state search a
+/// compressed-away last commit stands in by its live heir — a live state
+/// descends from it iff it descends from the heir — and the stand-in is
+/// pinned, so it stays live. The destructor unpins it and gives the context
+/// its last commit back. Construct under the commit lock.
+class SessionFloor {
+ public:
+  SessionFloor(const StateDag& dag, TxnContext* ctx) : ctx_(ctx) {
+    if (ctx->session_last_commit == nullptr) return;
+    StatePtr floor = ctx->session_last_commit;
+    if (floor->deleted.load()) floor = dag.ResolveLocked(floor->id());
+    if (floor == nullptr) return;
+    floor->PinAsReadState();
+    original_ = std::exchange(ctx->session_last_commit, std::move(floor));
+    pinned_ = true;
+  }
+  ~SessionFloor() {
+    if (!pinned_) return;
+    ctx_->session_last_commit->UnpinAsReadState();
+    ctx_->session_last_commit = std::move(original_);
+  }
+  SessionFloor(const SessionFloor&) = delete;
+  SessionFloor& operator=(const SessionFloor&) = delete;
+
+ private:
+  TxnContext* const ctx_;
+  StatePtr original_;
+  bool pinned_ = false;
+};
 }  // namespace
 
 TardisStore::TardisStore(const TardisOptions& options)
@@ -77,6 +111,11 @@ void TardisStore::RegisterMetrics() {
       "Promotion-table entries left behind by DAG compression",
       [this] { return static_cast<double>(dag_.promotion_table_size()); },
       site, this);
+  metrics_->RegisterCallbackGauge(
+      "tardis_dag_fork_path_max",
+      "Entries in the longest fork path among the branch tips",
+      [this] { return static_cast<double>(dag_.MaxLeafPathLength()); }, site,
+      this);
   // Info metric: constant 1, the interesting part is the backend label
   // (Prometheus *_info convention).
   obs::LabelSet backend_labels = site;
@@ -165,19 +204,21 @@ StatusOr<TxnPtr> TardisStore::Begin(ClientSession* session,
   TxnPtr txn(new Transaction(this, session, Transaction::Mode::kSingle));
   txn->ctx_.session_last_commit = session->last_commit_;
 
-  // Fast path: a client extending its own branch reads from its last
-  // committed state while that state is still a leaf — no DAG search.
-  if (bc->PrefersSessionTip() && session->last_commit_ != nullptr) {
-    StatePtr tip = session->last_commit_;
+  std::optional<SessionFloor> floor;
+  if (session->last_commit_ != nullptr) {
     // children() is guarded by the DAG lock; an unlocked peek would race
     // with a concurrent committer appending to the tip.
     std::lock_guard<std::mutex> guard(dag_.Lock());
-    if (tip->children().empty() && !tip->marked.load() &&
-        !tip->deleted.load()) {
+    // Fast path: a client extending its own branch reads from its last
+    // committed state while that state is still a leaf — no DAG search.
+    StatePtr tip = session->last_commit_;
+    if (bc->PrefersSessionTip() && tip->children().empty() &&
+        !tip->marked.load() && !tip->deleted.load()) {
       tip->PinAsReadState();
       txn->ctx_.read_states.push_back(std::move(tip));
       return txn;
     }
+    floor.emplace(dag_, &txn->ctx_);
   }
 
   for (int attempt = 0; attempt < 64; attempt++) {
@@ -217,6 +258,11 @@ StatusOr<TxnPtr> TardisStore::BeginMerge(ClientSession* session,
 
   TxnPtr txn(new Transaction(this, session, Transaction::Mode::kMerge));
   txn->ctx_.session_last_commit = session->last_commit_;
+  std::optional<SessionFloor> floor;
+  if (session->last_commit_ != nullptr) {
+    std::lock_guard<std::mutex> guard(dag_.Lock());
+    floor.emplace(dag_, &txn->ctx_);
+  }
 
   for (int attempt = 0; attempt < 64; attempt++) {
     const StateId newest = dag_.max_id();

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,11 +64,21 @@ struct ForkPoint {
   }
 };
 
+/// Sorted ids of *closed* fork points: forks the garbage collector has
+/// deleted and whose every branch its live heir descends from. Their
+/// entries can leave every fork path without changing a Fig. 7 answer
+/// (DESIGN.md §4b). Immutable and shared between paths.
+using ClosedForks = std::vector<StateId>;
+
 /// A branch summary: sorted set of fork points. Paths are immutable once
 /// published and shared between states (a plain chain commit reuses its
 /// parent's object), and are stored at exact size: every merge unions
 /// its parents' paths, so paths grow with the branch history and slack
 /// capacity would be paid once per distinct path.
+///
+/// A path the collector pruned keeps the closed forks it was pruned of:
+/// until the collector has rewritten every path and retired them, a
+/// writer's path can still name a fork this (reader) path no longer does.
 class ForkPath {
  public:
   ForkPath() = default;
@@ -106,13 +118,68 @@ class ForkPath {
     points_ = std::move(merged);
   }
 
-  /// True iff every fork point of *this appears in `other` — the
-  /// "x.path ⊆ y.path" test of Figure 7. Linear in the path lengths.
-  bool SubsetOf(const ForkPath& other) const {
-    return std::includes(other.points_.begin(), other.points_.end(),
-                         points_.begin(), points_.end());
+  /// True iff every fork point of *this (a writer's path) appears in
+  /// `reader` — the "x.path ⊆ y.path" test of Figure 7 — where an entry of
+  /// a fork `reader` was pruned of counts as present. Linear in the path
+  /// lengths. No early-out on sizes: a longer writer path can still pass.
+  bool SubsetOf(const ForkPath& reader) const {
+    auto r = reader.points_.begin();
+    const auto end = reader.points_.end();
+    for (const ForkPoint& w : points_) {
+      while (r != end && *r < w) ++r;
+      if (r != end && *r == w) {
+        ++r;
+        continue;
+      }
+      if (reader.closed_ == nullptr ||
+          !std::binary_search(reader.closed_->begin(), reader.closed_->end(),
+                              w.state)) {
+        return false;
+      }
+    }
+    return true;
   }
 
+  /// True iff some entry names a fork in `closed` (sorted).
+  bool Names(const ClosedForks& closed) const {
+    auto c = closed.begin();
+    for (const ForkPoint& p : points_) {
+      while (c != closed.end() && *c < p.state) ++c;
+      if (c == closed.end()) return false;
+      if (*c == p.state) return true;
+    }
+    return false;
+  }
+
+  /// Drops every entry of a fork in `closed` (null: none) and remembers
+  /// `closed` as the forks this path was pruned of. Exact-size.
+  void Prune(std::shared_ptr<const ClosedForks> closed) {
+    if (closed != nullptr && Names(*closed)) {
+      auto named = [&](const ForkPoint& p) {
+        return std::binary_search(closed->begin(), closed->end(), p.state);
+      };
+      std::vector<ForkPoint> kept;
+      kept.reserve(points_.size() -
+                   std::count_if(points_.begin(), points_.end(), named));
+      std::remove_copy_if(points_.begin(), points_.end(),
+                          std::back_inserter(kept), named);
+      points_ = std::move(kept);
+    }
+    closed_ = std::move(closed);
+  }
+
+  /// True iff the path holds (fork, 1) ... (fork, slots): it descends from
+  /// every branch of `fork`.
+  bool HoldsEveryBranch(StateId fork, uint32_t slots) const {
+    auto it = std::lower_bound(points_.begin(), points_.end(),
+                               ForkPoint{fork, 1});
+    for (uint32_t b = 1; b <= slots; b++, ++it) {
+      if (it == points_.end() || !(*it == ForkPoint{fork, b})) return false;
+    }
+    return true;
+  }
+
+  /// Entries only; the closed forks a path was pruned of do not count.
   bool operator==(const ForkPath& o) const { return points_ == o.points_; }
 
   size_t size() const { return points_.size(); }
@@ -133,6 +200,7 @@ class ForkPath {
 
  private:
   std::vector<ForkPoint> points_;
+  std::shared_ptr<const ClosedForks> closed_;  // pruned of; null: none
 };
 
 /// Sorted, de-duplicated key set; read/write sets of transactions and the

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/tardis_store.h"
+#include "util/random.h"
 
 namespace tardis {
 namespace {
@@ -347,6 +348,203 @@ TEST_F(GcTest, PromotionRacesCommitsMergesAndResolves) {
   for (int k = 0; k < kKeys; k++) {
     EXPECT_EQ(MustGet(closer.get(), key(k)), Tick(last[k])) << key(k);
   }
+}
+
+/// The store's tardis_dag_fork_path_max gauge.
+double ForkPathMax(const TardisStore& store) {
+  for (const obs::Sample& s : store.metrics()->Collect()) {
+    if (s.name == "tardis_dag_fork_path_max") return s.gauge;
+  }
+  ADD_FAILURE() << "no tardis_dag_fork_path_max gauge";
+  return 0;
+}
+
+/// One commit of `key` = `value` exactly on state `at`.
+StateId CommitOn(TardisStore* store, ClientSession* session, StateId at,
+                 const std::string& key, const std::string& value) {
+  auto txn = store->Begin(session, StateIdBegin(at));
+  EXPECT_TRUE(txn.ok()) << txn.status().ToString();
+  if (!txn.ok()) return kInvalidStateId;
+  EXPECT_TRUE((*txn)->Put(key, value).ok());
+  Status s = (*txn)->Commit(std::make_shared<NoRippleEnd>());
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return session->last_commit()->id();
+}
+
+TEST_F(GcTest, LadderCollapsesAndLeavesPaths) {
+  // A ladder of fork points f1..fN: each f(i) has the next rung as its
+  // first child and a side branch as its second, and one merge reconciles
+  // the last rung and every side branch. Fig. 8 alone keeps every rung: a
+  // rung has two children, the next rung and (once the side branch is
+  // compressed into it) the merge.
+  constexpr int kRungs = 8;
+  auto side = store_->CreateSession();
+  std::vector<StateId> rungs;
+  StateId tip = store_->dag()->root()->id();
+  for (int i = 0; i < kRungs; i++) {
+    tip = CommitOn(store_.get(), session_.get(), tip, "hot", Tick(i));
+    rungs.push_back(tip);
+    if (i > 0) {
+      CommitOn(store_.get(), side.get(), rungs[i - 1],
+               "side" + std::to_string(i), "s");
+    }
+  }
+  CommitOn(store_.get(), session_.get(), tip, "hot", Tick(kRungs));
+  CommitOn(store_.get(), side.get(), rungs.back(), "side", "s");
+  ASSERT_EQ(store_->dag()->leaf_count(), static_cast<size_t>(kRungs + 1));
+  MergeLww(store_.get(), session_.get());
+  ASSERT_EQ(store_->dag()->leaf_count(), 1u);
+  PutCommit(session_.get(), "after", "a");
+  const size_t before = store_->dag()->state_count();
+  store_->PlaceCeiling(session_.get());
+  GcStats total;
+  for (int run = 0; run < 3; run++) {
+    GcStats stats = store_->RunGarbageCollection();
+    total.edges_dropped += stats.edges_dropped;
+    total.forks_closed += stats.forks_closed;
+  }
+  EXPECT_GT(total.edges_dropped, 0u);
+  EXPECT_EQ(total.forks_closed, static_cast<uint64_t>(kRungs));
+  for (StateId rung : rungs) {
+    EXPECT_NE(store_->dag()->Resolve(rung)->id(), rung) << "rung " << rung;
+  }
+  EXPECT_LT(store_->dag()->state_count(), before);
+  EXPECT_EQ(store_->dag()->state_count(), 2u);  // the root and the tip
+
+  PutCommit(session_.get(), "next", "n");
+  for (const ForkPoint& fp :
+       session_->last_commit()->fork_path()->points()) {
+    EXPECT_EQ(std::find(rungs.begin(), rungs.end(), fp.state), rungs.end())
+        << "path still names rung " << fp.state;
+  }
+  size_t dead = 0;
+  for (const VersionEntry& v : store_->kvmap()->Versions("hot")) {
+    dead += v.state->deleted.load();
+  }
+  EXPECT_LE(dead, 1u);
+  EXPECT_EQ(MustGet(session_.get(), "hot"), Tick(kRungs));
+  for (int i = 1; i < kRungs; i++) {
+    EXPECT_EQ(MustGet(session_.get(), "side" + std::to_string(i)), "s");
+  }
+}
+
+TEST_F(GcTest, ForkPathStaysBounded) {
+  // Four sessions with overlapping transactions on a few keys: after each
+  // merge they all read the merged state, and their commits fork it. A
+  // merge every 64 commits, a ceiling every 256 and a GC run every 512.
+  // Without closed forks leaving the paths, every merge unions its
+  // parents' paths and the longest keeps growing.
+  constexpr int kSessions = 4;
+  constexpr int kCommits = 20000;
+  constexpr int kKeys = 8;
+  std::vector<std::unique_ptr<ClientSession>> sessions;
+  for (int i = 0; i < kSessions; i++) {
+    sessions.push_back(store_->CreateSession());
+  }
+  auto key = [](uint64_t k) { return "k" + std::to_string(k); };
+  for (int k = 0; k < kKeys; k++) PutCommit(session_.get(), key(k), Tick(0));
+  Random rng(21);
+  double longest = 0;
+  int commits = 0;
+  while (commits < kCommits) {
+    std::vector<TxnPtr> txns;
+    for (auto& session : sessions) {
+      auto txn = store_->Begin(session.get());
+      ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+      const std::string k = key(rng.Uniform(kKeys));
+      std::string v;
+      (*txn)->Get(k, &v);
+      ASSERT_TRUE((*txn)->Put(k, Tick(commits)).ok());
+      txns.push_back(std::move(*txn));
+    }
+    for (int i = 0; i < kSessions; i++) {
+      ASSERT_TRUE(txns[i]->Commit().ok());
+      commits++;
+      if (commits % 64 == 0) MergeLww(store_.get(), sessions[i].get());
+      if (commits % 256 == 0) store_->PlaceCeiling(sessions[i].get());
+    }
+    if (commits % 512 < kSessions) {
+      store_->RunGarbageCollection();
+      longest = std::max(longest, ForkPathMax(*store_));
+    }
+  }
+  EXPECT_GT(store_->metrics()->CounterTotal("tardis_txn_forks_total"), 500u);
+  EXPECT_GT(store_->gc()->TotalStats().forks_closed, 0u);
+  // Measured: at most 48 here; when nothing leaves, 1,700 by the end.
+  EXPECT_LT(longest, 100) << "fork paths grow with uptime";
+}
+
+TEST_F(GcTest, ReadersWritersAndPathPruningRace) {
+  // Reader threads (Begin/Get/GetForId), writer threads whose overlapping
+  // commits fork (retroactive annotation) and merge, and a GC thread that
+  // collapses ladders and prunes paths, all at once. A reader also writes
+  // its own key, so "never older than its own last write" is defined.
+  constexpr int kKeys = 8;
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kRounds = 3000;
+  auto key = [](int k) { return "key" + std::to_string(k); };
+  for (int k = 0; k < kKeys; k++) PutCommit(session_.get(), key(k), Tick(0));
+  for (int r = 0; r < kReaders; r++) {
+    PutCommit(session_.get(), "own" + std::to_string(r), Tick(0));
+  }
+  std::atomic<uint64_t> clock{1};
+  store_->StartGcThread(1);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) {
+    threads.emplace_back([&, w] {
+      auto session = store_->CreateSession();
+      for (int i = 0; i < kRounds; i++) {
+        auto txn = store_->Begin(session.get());
+        ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+        const int k = (w + i) % kKeys;
+        std::string v;
+        ASSERT_TRUE((*txn)->Get(key(k), &v).ok());
+        ASSERT_TRUE((*txn)->Put(key(k), Tick(clock.fetch_add(1))).ok());
+        ASSERT_TRUE((*txn)->Commit().ok());
+        if (i % 16 == 15) MergeLww(store_.get(), session.get());
+        if (i % 8 == 7) store_->PlaceCeiling(session.get());
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; r++) {
+    threads.emplace_back([&, r] {
+      auto session = store_->CreateSession();
+      const std::string own = "own" + std::to_string(r);
+      std::string last;  // this reader's last committed write of `own`
+      for (int i = 0; i < kRounds; i++) {
+        auto txn = store_->Begin(session.get());
+        ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+        std::string v;
+        for (int k = 0; k < kKeys; k++) {
+          Status s = (*txn)->Get(key(k), &v);
+          ASSERT_TRUE(s.ok()) << key(k) << ": " << s.ToString();
+        }
+        Status s = (*txn)->GetForId(key(i % kKeys), (*txn)->parents()[0], &v);
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        if (!last.empty()) {
+          ASSERT_TRUE((*txn)->Get(own, &v).ok());
+          EXPECT_GE(v, last);
+          ASSERT_TRUE((*txn)->GetForId(own, (*txn)->parents()[0], &v).ok());
+          EXPECT_GE(v, last);
+        }
+        if (i % 4 == 0) {
+          const std::string tick = Tick(clock.fetch_add(1));
+          ASSERT_TRUE((*txn)->Put(own, tick).ok());
+          ASSERT_TRUE((*txn)->Commit().ok());
+          last = tick;
+        } else {
+          (*txn)->Abort();
+        }
+        if (i % 32 == 31) store_->PlaceCeiling(session.get());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  store_->StopGcThread();
+  const GcStats gc = store_->gc()->TotalStats();
+  EXPECT_GT(gc.states_deleted, 0u);
+  EXPECT_GT(gc.forks_closed, 0u);
 }
 
 }  // namespace

@@ -33,12 +33,16 @@ const char* kExpectedNames[] = {
     "tardis_dag_states",
     "tardis_dag_leaves",
     "tardis_dag_promotion_entries",
+    "tardis_dag_fork_path_max",
     "tardis_gc_runs_total",
     "tardis_gc_states_marked_total",
     "tardis_gc_states_deleted_total",
     "tardis_gc_versions_promoted_total",
     "tardis_gc_versions_pruned_total",
+    "tardis_gc_edges_dropped_total",
+    "tardis_gc_forks_closed_total",
     "tardis_gc_pass_duration_us",
+    "tardis_gc_phase_us",
     "tardis_gc_lock_hold_us",
     "tardis_fault_points_hit_total",
     "tardis_fault_errors_injected_total",

@@ -6,7 +6,9 @@
 //  * branch isolation: concurrent forking sessions each see exactly their
 //    own branch's writes (a per-session model map);
 //  * fork-path soundness: DescendantCheck agrees with explicit graph
-//    reachability on randomly grown DAGs with merges;
+//    reachability on randomly grown DAGs with merges, and keeps agreeing,
+//    as does getForID, while GC cycles collapse fork-point ladders and
+//    prune closed forks from the paths;
 //  * fork-point search: FindForkPoint(s) and FindConflictWrites agree with
 //    full reachability on random DAGs with merges, GC splices and
 //    recovered ids, and every edge goes from a smaller id to a larger one;
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <map>
@@ -251,6 +254,221 @@ TEST_P(ForkPathSoundness, DescendantCheckMatchesReachability) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ForkPathSoundness,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// ---- fork-path soundness under GC --------------------------------------------------
+
+/// Commits exactly on the read state: a fork wherever that state already
+/// has a child.
+class ExactEnd : public EndConstraint {
+ public:
+  bool StepOk(const TxnContext&, const State&) const override {
+    return false;
+  }
+  bool FinalOk(const TxnContext&, const State&) const override {
+    return true;
+  }
+  std::string name() const override { return "Exact"; }
+};
+
+/// A store driven through random forks, merges, ladders, ceilings and GC
+/// cycles, beside a model of every state ever committed: its ancestors
+/// and the values it wrote.
+class GcModel {
+ public:
+  explicit GcModel(uint64_t seed) : rng_(seed) {
+    auto store = TardisStore::Open(TardisOptions{});
+    EXPECT_TRUE(store.ok());
+    store_ = std::move(*store);
+    for (int i = 0; i < 3; i++) sessions_.push_back(store_->CreateSession());
+    const StateId root = store_->dag()->root()->id();
+    ancestors_[root] = {root};
+  }
+
+  TardisStore* store() { return store_.get(); }
+  ClientSession* session() {
+    return sessions_[rng_.Uniform(sessions_.size())].get();
+  }
+  std::string Key() { return "k" + std::to_string(rng_.Uniform(kKeys)); }
+  std::string Value() {
+    char buf[24];
+    snprintf(buf, sizeof(buf), "%08llu", static_cast<unsigned long long>(++tick_));
+    return buf;
+  }
+  Random& rng() { return rng_; }
+
+  /// Records the commit `session` just made.
+  void Record(ClientSession* session,
+              const std::map<std::string, std::string>& writes) {
+    const StatePtr& s = session->last_commit();
+    std::set<StateId>& anc = ancestors_[s->id()];
+    anc.insert(s->id());
+    for (const StatePtr& p : s->parents()) {
+      anc.insert(ancestors_[p->id()].begin(), ancestors_[p->id()].end());
+    }
+    wrote_[s->id()] = writes;
+  }
+
+  /// One commit of a random key on exactly state `at` (kInvalidStateId:
+  /// wherever the session's begin constraint puts it).
+  StateId Commit(ClientSession* session, StateId at) {
+    auto txn = at == kInvalidStateId
+                   ? store_->Begin(session)
+                   : store_->Begin(session, StateIdBegin(at));
+    EXPECT_TRUE(txn.ok()) << txn.status().ToString();
+    if (!txn.ok()) return kInvalidStateId;
+    std::map<std::string, std::string> writes{{Key(), Value()}};
+    for (const auto& [k, v] : writes) EXPECT_TRUE((*txn)->Put(k, v).ok());
+    Status s = at == kInvalidStateId
+                   ? (*txn)->Commit()
+                   : (*txn)->Commit(std::make_shared<ExactEnd>());
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    Record(session, writes);
+    return session->last_commit()->id();
+  }
+
+  /// A last-writer-wins merge of up to `max_parents` leaves (0: all).
+  void Merge(size_t max_parents) {
+    ClientSession* session = this->session();
+    auto m = store_->BeginMerge(session, AnyBegin(), max_parents);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    const std::vector<StateId> parents = (*m)->parents();
+    if (parents.size() < 2) {
+      (*m)->Abort();
+      return;
+    }
+    auto conflicts = (*m)->FindConflictWrites(parents);
+    ASSERT_TRUE(conflicts.ok());
+    std::map<std::string, std::string> writes;
+    for (const std::string& key : *conflicts) {
+      std::string merged;
+      for (StateId p : parents) {
+        std::string v;
+        if ((*m)->GetForId(key, p, &v).ok()) merged = std::max(merged, v);
+      }
+      ASSERT_TRUE((*m)->Put(key, merged).ok());
+      writes[key] = merged;
+    }
+    ASSERT_TRUE((*m)->Commit(std::make_shared<ExactEnd>()).ok());
+    Record(session, writes);
+  }
+
+  /// A live state no ceiling covers yet (a possible read state).
+  StateId Unmarked() {
+    std::vector<StateId> ids;
+    std::lock_guard<std::mutex> guard(store_->dag()->Lock());
+    for (const StatePtr& s : store_->dag()->AllStatesLocked()) {
+      if (!s->marked.load()) ids.push_back(s->id());
+    }
+    return ids[rng_.Uniform(ids.size())];
+  }
+
+  /// Rungs r1..rn, each forked by a side branch, then one merge of every
+  /// leaf.
+  void Ladder() {
+    ClientSession* chain = session();
+    ClientSession* side = session();
+    StateId rung = Unmarked();
+    const int rungs = 2 + static_cast<int>(rng_.Uniform(4));
+    for (int i = 0; i < rungs; i++) {
+      const StateId next = Commit(chain, rung);
+      Commit(side, rung);
+      rung = next;
+    }
+    Merge(0);
+  }
+
+  /// After a GC cycle: Fig. 7 against reachability for every writer (a
+  /// live state or a deleted version owner) and live reader, and GetForId
+  /// at every live state against the model's newest visible write.
+  void Check() {
+    std::vector<StatePtr> live;
+    {
+      std::lock_guard<std::mutex> guard(store_->dag()->Lock());
+      live = store_->dag()->AllStatesLocked();
+    }
+    std::vector<StatePtr> writers = live;
+    for (int k = 0; k < kKeys; k++) {
+      for (const VersionEntry& v :
+           store_->kvmap()->Versions("k" + std::to_string(k))) {
+        if (v.state->deleted.load()) writers.push_back(v.state);
+      }
+    }
+    for (const StatePtr& w : writers) {
+      for (const StatePtr& r : live) {
+        const bool expected = ancestors_[r->id()].count(w->id()) > 0;
+        ASSERT_EQ(StateDag::DescendantCheck(*w, *r), expected)
+            << "writer " << w->id() << (w->deleted.load() ? " (deleted)" : "")
+            << " path=" << w->fork_path()->ToString() << " reader "
+            << r->id() << " path=" << r->fork_path()->ToString();
+      }
+    }
+    auto txn = store_->Begin(sessions_[0].get(), AnyBegin());
+    ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+    for (const StatePtr& g : live) {
+      for (int k = 0; k < kKeys; k++) {
+        const std::string key = "k" + std::to_string(k);
+        std::string expected;
+        for (StateId a : ancestors_[g->id()]) {
+          auto w = wrote_[a].find(key);
+          if (w != wrote_[a].end()) expected = w->second;  // ids ascend
+        }
+        std::string got;
+        Status s = (*txn)->GetForId(key, g->id(), &got);
+        if (expected.empty()) {
+          EXPECT_TRUE(s.IsNotFound()) << key << "@" << g->id();
+        } else {
+          ASSERT_TRUE(s.ok()) << key << "@" << g->id() << ": " << s.ToString();
+          EXPECT_EQ(got, expected) << key << "@" << g->id()
+                                   << (g->marked.load() ? " (marked)" : "");
+        }
+      }
+    }
+    (*txn)->Abort();
+  }
+
+ private:
+  static constexpr int kKeys = 6;
+  Random rng_;
+  uint64_t tick_ = 0;
+  std::unique_ptr<TardisStore> store_;
+  std::vector<std::unique_ptr<ClientSession>> sessions_;
+  std::map<StateId, std::set<StateId>> ancestors_;  // ancestors-or-self
+  std::map<StateId, std::map<std::string, std::string>> wrote_;
+};
+
+class ForkPathSoundnessUnderGc : public ::testing::TestWithParam<int> {};
+
+TEST_P(ForkPathSoundnessUnderGc, Fig7AndGetForIdMatchReachability) {
+  GcModel model(GetParam());
+  int cycles = 0;
+  for (int op = 0; op < 300 && !::testing::Test::HasFatalFailure(); op++) {
+    const double dice = model.rng().NextDouble();
+    if (dice < 0.35) {
+      model.Commit(model.session(), kInvalidStateId);
+    } else if (dice < 0.55) {
+      model.Commit(model.session(), model.Unmarked());
+    } else if (dice < 0.62) {
+      model.Ladder();
+    } else if (dice < 0.74) {
+      model.Merge(model.rng().Uniform(4));
+    } else if (dice < 0.88) {
+      model.store()->PlaceCeiling(model.session());
+    } else {
+      model.store()->RunGarbageCollection();
+      model.Check();
+      cycles++;
+    }
+  }
+  model.store()->RunGarbageCollection();
+  model.Check();
+  const GcStats gc = model.store()->gc()->TotalStats();
+  EXPECT_GT(gc.states_deleted, 0u);
+  EXPECT_GT(gc.forks_closed, 0u);
+  EXPECT_GT(cycles, 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ForkPathSoundnessUnderGc,
+                         ::testing::Values(5, 6, 7, 8));
 
 // ---- fork-point search ------------------------------------------------------------
 

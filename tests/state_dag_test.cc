@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/state_dag.h"
@@ -76,6 +78,43 @@ TEST(ForkPathTest, StoredAtExactSize) {
   a.Union(b);
   EXPECT_EQ(a.size(), 15u);  // 9 + 9 minus {0, 6, 12}
   EXPECT_EQ(a.capacity(), a.size());
+}
+
+TEST(ForkPathTest, PrunedReaderCountsClosedEntriesAsPresent) {
+  // Fork 5 is closed: the reader's path was pruned of it while the
+  // writer's still names it.
+  ForkPath writer, reader;
+  for (ForkPath* p : {&writer, &reader}) {
+    p->Add({2, 1});
+    p->Add({5, 1});
+    p->Add({5, 2});
+  }
+  reader.Add({7, 1});
+  reader.Prune(std::make_shared<const ClosedForks>(ClosedForks{5}));
+  ASSERT_EQ(reader.size(), 2u);
+  EXPECT_EQ(reader.capacity(), reader.size());
+  EXPECT_TRUE(writer.SubsetOf(reader));
+  // No early-out on sizes: the longer writer path still passes.
+  EXPECT_GT(writer.size(), reader.size());
+  // An entry of an open fork missing from the reader still fails.
+  writer.Add({3, 2});
+  EXPECT_FALSE(writer.SubsetOf(reader));
+  // A path that never heard of the closed fork does not forgive it.
+  ForkPath unpruned;
+  unpruned.Add({2, 1});
+  EXPECT_FALSE(reader.SubsetOf(unpruned));
+}
+
+TEST(ForkPathTest, NamesAndHoldsEveryBranch) {
+  ForkPath p;
+  p.Add({4, 1});
+  p.Add({4, 2});
+  p.Add({9, 3});
+  EXPECT_TRUE(p.Names(ClosedForks{1, 9}));
+  EXPECT_FALSE(p.Names(ClosedForks{1, 5, 10}));
+  EXPECT_TRUE(p.HoldsEveryBranch(4, 2));
+  EXPECT_FALSE(p.HoldsEveryBranch(4, 3));
+  EXPECT_FALSE(p.HoldsEveryBranch(9, 3));  // lacks (9,1) and (9,2)
 }
 
 TEST(KeySetTest, IntersectsAndUnion) {
@@ -431,6 +470,44 @@ TEST(StateDagDescendantCheckTest, Figure5Visibility) {
   EXPECT_FALSE(StateDag::DescendantCheck(*s9, *s7));
   EXPECT_FALSE(StateDag::DescendantCheck(*s5, *s6));
   EXPECT_FALSE(StateDag::DescendantCheck(*s8, *s7));
+}
+
+TEST(StateDagDescendantCheckTest, SharedPathObjectAnswersAtOnce) {
+  StateDag dag;
+  StatePtr s1 = Commit(&dag, dag.root());
+  StatePtr a1 = Commit(&dag, s1);
+  Commit(&dag, s1);  // s1 forks: a1's chain moves to one new path object
+  StatePtr a2 = Commit(&dag, a1);
+  StatePtr a3 = Commit(&dag, a2);
+  ASSERT_EQ(a1->fork_path(), a3->fork_path());
+  ASSERT_FALSE(a1->fork_path()->empty());
+  EXPECT_TRUE(StateDag::DescendantCheck(*a1, *a3));
+  // The id comparison still comes first.
+  EXPECT_FALSE(StateDag::DescendantCheck(*a3, *a1));
+}
+
+TEST(StateDagTest, DropRedundantEdgesKeepsReachability) {
+  // A ladder: f1 -> {f2, m}, f2 -> {x, m}, x -> m. Both edges into m from
+  // a fork point are redundant; f1 -> f2 and f2 -> x are not.
+  StateDag dag;
+  StatePtr f1 = Commit(&dag, dag.root());
+  StatePtr f2 = Commit(&dag, f1);
+  StatePtr x = Commit(&dag, f2);
+  StatePtr m = Merge(&dag, {x, f2, f1});
+  std::lock_guard<std::mutex> guard(dag.Lock());
+  EXPECT_EQ(dag.DropRedundantEdgesLocked(f2), 1u);
+  EXPECT_EQ(dag.DropRedundantEdgesLocked(f1), 1u);
+  EXPECT_EQ(dag.DropRedundantEdgesLocked(x), 0u);
+  ASSERT_EQ(f1->children().size(), 1u);
+  EXPECT_EQ(f1->children()[0], f2);
+  ASSERT_EQ(f2->children().size(), 1u);
+  EXPECT_EQ(f2->children()[0], x);
+  ASSERT_EQ(m->parents().size(), 1u);
+  EXPECT_EQ(m->parents()[0], x);
+  // Paths are untouched, so Fig. 7 still sees m below all three.
+  for (const StatePtr& s : {f1, f2, x}) {
+    EXPECT_TRUE(StateDag::DescendantCheck(*s, *m));
+  }
 }
 
 }  // namespace
